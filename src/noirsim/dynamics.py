@@ -8,7 +8,6 @@ fractions, and B maps boundary inflows/outflows onto the interior state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -36,15 +35,14 @@ class OutflowProbabilities:
 
 @dataclass(frozen=True)
 class TendencyFractions:
-    """How each node's outflow splits across its out-neighbors.
+    """How each interior node's outflow splits across its out-neighbors.
 
-    ``per_edge[(j, t)]`` is the fraction of j's outflow routed along edge
-    (j, t); the fractions of each non-outlet node sum to 1. ``matrix`` holds
-    the interior-to-interior block in state order: ``matrix[i, j]`` is the
-    fraction of interior node j's outflow that enters interior node i.
+    ``matrix`` holds the interior-to-interior block in state order:
+    ``matrix[i, j]`` is the fraction of interior node j's outflow that enters
+    interior node i. A column falls short of 1 by the share its road sends
+    to outlets.
     """
 
-    per_edge: dict[tuple[int, int], float]
     matrix: np.ndarray
 
 
@@ -72,22 +70,30 @@ def sample_matrices(
     p[x == 0.0] = 0.0
 
     nb = graph.n_boundary
-    per_edge: dict[tuple[int, int], float] = {}
-    matrix = np.zeros((n_i, n_i))
-    for j in chain(graph.inlet_ids, graph.interior_ids):
-        outs = sorted(graph.out_neighbors(j))
-        if not outs:
-            continue
-        if len(outs) == 1:
-            parts = np.array([1.0])
-        else:
-            parts = rng.dirichlet(np.ones(len(outs)))
-        for t, frac in zip(outs, parts):
-            per_edge[(j, t)] = float(frac)
-            if j > nb and t > nb:
-                matrix[t - nb - 1, j - nb - 1] = frac
+    tails, heads = graph.edge_tails, graph.edge_heads
+    out_deg = np.diff(graph.out_offsets)
+    # One flat Dirichlet per inlet or interior node with two or more
+    # out-edges, drawn in (tail, head) order exactly as Generator.dirichlet
+    # computes it: gamma(1) variates, summed left to right (a column at a
+    # time; np.sum and np.add.reduceat can round differently) and multiplied
+    # by the reciprocal of the sum. The inlet splits are unused; they are
+    # drawn so that the random stream, and every later draw, stays fixed.
+    split = (out_deg[tails - 1] >= 2) & ((tails <= graph.n_inlets) | (tails > nb))
+    owner = tails[split] - 1
+    slot = np.flatnonzero(split) - graph.out_offsets[owner]
+    gammas = rng.standard_gamma(1.0, size=owner.size)
+    padded = np.zeros((graph.n_total, int(out_deg.max(initial=0))))
+    padded[owner, slot] = gammas
+    total = np.zeros(graph.n_total)
+    for column in padded.T:
+        total += column
+    frac = np.ones(tails.size)
+    frac[split] = gammas * (1.0 / total[owner])
 
-    return OutflowProbabilities(p=p), TendencyFractions(per_edge=per_edge, matrix=matrix)
+    inner = (tails > nb) & (heads > nb)
+    matrix = np.zeros((n_i, n_i))
+    matrix[heads[inner] - nb - 1, tails[inner] - nb - 1] = frac[inner]
+    return OutflowProbabilities(p=p), TendencyFractions(matrix=matrix)
 
 
 def assemble_state_matrix(
@@ -117,17 +123,13 @@ def assemble_input_matrix(graph: NoirGraph) -> np.ndarray:
     node i, and -1 when interior node i feeds outlet j; all other entries
     are zero.
     """
-    n_i = graph.n_interior
     nb = graph.n_boundary
-    b = np.zeros((n_i, nb))
-    for i in graph.interior_ids:
-        r = graph.state_index(i)
-        for j in graph.in_neighbors(i):
-            if j <= graph.n_inlets:
-                b[r, j - 1] = 1.0
-        for j in graph.out_neighbors(i):
-            if graph.n_inlets < j <= nb:
-                b[r, j - 1] = -1.0
+    tails, heads = graph.edge_tails, graph.edge_heads
+    b = np.zeros((graph.n_interior, nb))
+    feed = (tails <= graph.n_inlets) & (heads > nb)
+    b[heads[feed] - nb - 1, tails[feed] - 1] = 1.0
+    drain = (tails > nb) & (heads > graph.n_inlets) & (heads <= nb)
+    b[tails[drain] - nb - 1, heads[drain] - 1] = -1.0
     return b
 
 
@@ -144,23 +146,6 @@ def step(state: TrafficState, a: np.ndarray, b: np.ndarray, s: np.ndarray) -> Tr
     if b.shape != (x.size, s.size):
         raise ValueError(f"input matrix shape {b.shape} does not match ({x.size}, {s.size})")
     return TrafficState(densities=a @ x + b @ s, step=state.step + 1)
-
-
-def interior_flows(
-    state: TrafficState, probs: OutflowProbabilities, fractions: TendencyFractions
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-road network inflow and outflow for the current step.
-
-    Outflow is z = p * x; inflow is the routed share y = matrix @ z. Both
-    cover interior bookkeeping only; boundary flows live in the input term.
-    """
-    x = state.densities
-    p = np.asarray(probs.p, dtype=float)
-    if p.shape != x.shape:
-        raise ValueError("probability vector does not match state size")
-    z = p * x
-    y = fractions.matrix @ z
-    return y, z
 
 
 def spectral_radius_estimate(a: np.ndarray, iters: int = 300) -> float:
@@ -233,18 +218,9 @@ def state_matrix_report(
     entries_ok = min_entry >= -tol
 
     col = a.sum(axis=0)
-    offenders = []
-    for idx in range(n_i):
-        node = graph.interior_id(idx)
-        outlet_adjacent = any(
-            graph.n_inlets < j <= graph.n_boundary for j in graph.out_neighbors(node)
-        )
-        if outlet_adjacent:
-            ok = tol < col[idx] <= 1.0 + tol
-        else:
-            ok = abs(col[idx] - 1.0) <= tol
-        if not ok:
-            offenders.append(idx)
+    outlet_adjacent = (assemble_input_matrix(graph) < 0.0).any(axis=1)
+    ok = np.where(outlet_adjacent, (tol < col) & (col <= 1.0 + tol), np.abs(col - 1.0) <= tol)
+    offenders = np.flatnonzero(~ok).tolist()
 
     if validate_structure(graph).interior_reaches_outlet.passed:
         rho = spectral_radius_estimate(a)

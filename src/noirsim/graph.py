@@ -9,7 +9,7 @@ then interior elements.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -65,8 +65,12 @@ class NoirGraph:
     """Immutable directed graph of road elements.
 
     Ids ``1..n_inlets`` are inlets, the next ``n_outlets`` ids are outlets,
-    and ids ``n_boundary+1..n_total`` are interior elements. The graph is
-    safe to share across threads once built.
+    and ids ``n_boundary+1..n_total`` are interior elements. ``edges``,
+    sorted by (tail, head), is the one stored adjacency. The index arrays
+    derived from it are read-only, so the graph is safe to share across
+    threads: ``edge_tails`` and ``edge_heads`` follow ``edges``; the
+    out-edges of node ``i`` sit at ``out_offsets[i - 1]:out_offsets[i]`` and
+    its in-neighbors, ascending, at ``in_sources[in_offsets[i - 1]:in_offsets[i]]``.
     """
 
     n_total: int
@@ -74,8 +78,28 @@ class NoirGraph:
     n_outlets: int
     edges: tuple[tuple[int, int], ...]
     attributes: tuple[RoadAttributes | None, ...]
-    _in: tuple[frozenset[int], ...]
-    _out: tuple[frozenset[int], ...]
+    edge_tails: np.ndarray = field(init=False, compare=False, repr=False)
+    edge_heads: np.ndarray = field(init=False, compare=False, repr=False)
+    out_offsets: np.ndarray = field(init=False, compare=False, repr=False)
+    in_offsets: np.ndarray = field(init=False, compare=False, repr=False)
+    in_sources: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        tails, heads = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        if (np.diff(tails * (self.n_total + 1) + heads) <= 0).any():
+            raise ValueError("edges must be distinct and sorted by (tail, head)")
+        by_head = np.lexsort((tails, heads))
+        bounds = np.arange(1, self.n_total + 2)
+        for name, arr in (
+            ("edge_tails", tails),
+            ("edge_heads", heads),
+            ("out_offsets", np.searchsorted(tails, bounds)),
+            ("in_offsets", np.searchsorted(heads[by_head], bounds)),
+            ("in_sources", tails[by_head]),
+        ):
+            arr = np.ascontiguousarray(arr)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_boundary(self) -> int:
@@ -112,12 +136,12 @@ class NoirGraph:
     def in_neighbors(self, i: int) -> set[int]:
         """Nodes j with an edge (j, i)."""
         self._check_id(i)
-        return set(self._in[i - 1])
+        return set(self.in_sources[self.in_offsets[i - 1] : self.in_offsets[i]].tolist())
 
     def out_neighbors(self, i: int) -> set[int]:
         """Nodes j with an edge (i, j)."""
         self._check_id(i)
-        return set(self._out[i - 1])
+        return set(self.edge_heads[self.out_offsets[i - 1] : self.out_offsets[i]].tolist())
 
     def attributes_of(self, i: int) -> RoadAttributes | None:
         self._check_id(i)
@@ -136,13 +160,15 @@ class NoirGraph:
 
     def capacity_vector(self, vehicle_length_m: float = DEFAULT_VEHICLE_LENGTH_M) -> np.ndarray:
         """Per-interior-road capacities in state order."""
-        caps = np.empty(self.n_interior)
-        for i in self.interior_ids:
-            attr = self.attributes[i - 1]
-            if attr is None:
-                raise ValueError(f"interior node {i} has no attributes")
-            caps[self.state_index(i)] = compute_capacity(attr, vehicle_length_m)
-        return caps
+        if not vehicle_length_m > 0:
+            raise ValueError(f"vehicle length must be positive, got {vehicle_length_m}")
+        interior = self.attributes[self.n_boundary :]
+        if None in interior:
+            missing = self.interior_id(interior.index(None))
+            raise ValueError(f"interior node {missing} has no attributes")
+        fields = np.array([(a.lane_count, a.length_m) for a in interior], float).reshape(-1, 2)
+        # compute_capacity's operation order, so the values are identical
+        return fields[:, 0] * fields[:, 1] / vehicle_length_m
 
 
 def build_graph(
@@ -180,8 +206,6 @@ def build_graph(
             raise GraphBuildError(f"interior node {idx} requires attributes")
         attrs.append(attr)
 
-    in_sets: list[set[int]] = [set() for _ in range(n)]
-    out_sets: list[set[int]] = [set() for _ in range(n)]
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n):
@@ -191,8 +215,6 @@ def build_graph(
         if (u, v) in seen:
             raise GraphBuildError(f"duplicate edge ({u}, {v})")
         seen.add((u, v))
-        out_sets[u - 1].add(v)
-        in_sets[v - 1].add(u)
 
     return NoirGraph(
         n_total=n,
@@ -200,8 +222,6 @@ def build_graph(
         n_outlets=n_out,
         edges=tuple(sorted(seen)),
         attributes=tuple(attrs),
-        _in=tuple(frozenset(s) for s in in_sets),
-        _out=tuple(frozenset(s) for s in out_sets),
     )
 
 
@@ -251,41 +271,38 @@ def validate_structure(g: NoirGraph) -> StructureReport:
     inlets have no in-edges. Failures are reported per check with the
     offending node ids; nothing is raised.
     """
-    bad_inlet_feed = []
-    for i in g.inlet_ids:
-        outs = g.out_neighbors(i)
-        if not outs or any(g.road_class(j) is not RoadClass.INTERIOR for j in outs):
-            bad_inlet_feed.append(i)
+    n, n_in, nb = g.n_total, g.n_inlets, g.n_boundary
+    tails, heads = g.edge_tails, g.edge_heads
+    ids = np.arange(1, n + 1)
+    inlet = ids <= n_in
+    outlet = (ids > n_in) & (ids <= nb)
+    out_deg = np.diff(g.out_offsets)
+    in_deg = np.diff(g.in_offsets)
+    feeds_boundary = np.bincount(tails[heads <= nb] - 1, minlength=n) > 0
+    feeds_outlet = np.bincount(tails[outlet[heads - 1]] - 1, minlength=n) > 0
 
-    # reverse reachability from the outlet set
-    reached: set[int] = set(g.outlet_ids)
-    frontier = deque(reached)
+    # reverse reachability from the outlet set, on Python lists because
+    # per-node numpy slices cost more than the search itself
+    sources, offsets = g.in_sources.tolist(), g.in_offsets.tolist()
+    reached = outlet.tolist()
+    frontier = deque(ids[outlet].tolist())
     while frontier:
         node = frontier.popleft()
-        for j in g._in[node - 1]:
-            if j not in reached:
-                reached.add(j)
+        for j in sources[offsets[node - 1] : offsets[node]]:
+            if not reached[j - 1]:
+                reached[j - 1] = True
                 frontier.append(j)
-    unreachable = [i for i in g.interior_ids if i not in reached]
 
-    isolated = [
-        i for i in range(1, g.n_total + 1) if not g._in[i - 1] and not g._out[i - 1]
-    ]
-
-    inlet_to_outlet = [
-        i
-        for i in g.inlet_ids
-        if any(g.road_class(j) is RoadClass.OUTLET for j in g.out_neighbors(i))
-    ]
-
-    outlet_out_edges = [i for i in g.outlet_ids if g._out[i - 1]]
-    inlet_in_edges = [i for i in g.inlet_ids if g._in[i - 1]]
-
-    return StructureReport(
-        inlets_feed_interior=CheckResult(not bad_inlet_feed, tuple(bad_inlet_feed)),
-        interior_reaches_outlet=CheckResult(not unreachable, tuple(unreachable)),
-        no_isolated_nodes=CheckResult(not isolated, tuple(isolated)),
-        no_inlet_to_outlet=CheckResult(not inlet_to_outlet, tuple(inlet_to_outlet)),
-        outlets_absorbing=CheckResult(not outlet_out_edges, tuple(outlet_out_edges)),
-        inlets_source_only=CheckResult(not inlet_in_edges, tuple(inlet_in_edges)),
-    )
+    checks = {
+        "inlets_feed_interior": inlet & ((out_deg == 0) | feeds_boundary),
+        "interior_reaches_outlet": (ids > nb) & ~np.array(reached, dtype=bool),
+        "no_isolated_nodes": (in_deg == 0) & (out_deg == 0),
+        "no_inlet_to_outlet": inlet & feeds_outlet,
+        "outlets_absorbing": outlet & (out_deg > 0),
+        "inlets_source_only": inlet & (in_deg > 0),
+    }
+    results = {}
+    for name, offending in checks.items():
+        offenders = tuple(ids[offending].tolist())
+        results[name] = CheckResult(not offenders, offenders)
+    return StructureReport(**results)

@@ -246,8 +246,8 @@ def run_simulation(graph: NoirGraph, config: SimConfig) -> TimeSeriesLog:
     records: list[StepRecord] = []
     for _ in range(config.steps):
         probs, fractions = sample_matrices(rng, graph, state, config.p_max)
-        s_star, diag = control_step(graph, state, probs, fractions, mpc_cfg)
         a = assemble_state_matrix(probs, fractions)
+        s_star, diag = control_step(state, a, b, mpc_cfg)
         state = step(state, a, b, s_star)
         records.append(_make_record(graph, state, s_star, diag, x_max))
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TrafficState, assemble_input_matrix, assemble_state_matrix
-from .graph import NoirGraph
+# The assemble_* names are unused here; benchmarks/tracing.py still wraps them.
+from .dynamics import TrafficState, assemble_input_matrix, assemble_state_matrix  # noqa: F401
 from .qp import KktResiduals, QpProblem, QpSolution, SolveStatus, solve_qp
 
 
@@ -156,23 +156,22 @@ def _solve_with_demand(
 
 
 def control_step(
-    graph: NoirGraph,
     state: TrafficState,
-    probs,
-    fractions,
+    a: np.ndarray,
+    b: np.ndarray,
     config: MpcConfig,
     tol: float = 1e-8,
 ) -> tuple[np.ndarray, ControlDiagnostics]:
     """Compute the boundary flows to apply at the current step.
 
-    Returns the first block of the optimal stacked sequence together with
-    solve diagnostics. If the requested demand is infeasible for the current
-    state, the demand is relaxed to the largest feasible value found by
-    bisection (8 rounds); if not even zero demand is feasible the returned
-    flows are zero and the status reports infeasibility.
+    ``a`` is this step's state matrix and ``b`` the network's input matrix;
+    both are held fixed across the horizon. Returns the first block of the
+    optimal stacked sequence together with solve diagnostics. If the
+    requested demand is infeasible for the current state, the demand is
+    relaxed to the largest feasible value found by bisection (8 rounds); if
+    not even zero demand is feasible the returned flows are zero and the
+    status reports infeasibility.
     """
-    a = assemble_state_matrix(probs, fractions)
-    b = assemble_input_matrix(graph)
     pm = build_prediction(a, b, config.n_tau)
 
     sol = _solve_with_demand(pm, state, config, config.d0, tol)

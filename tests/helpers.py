@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths: QP
 reference solutions come from enumerating active sets, prediction checks
-from explicit step-by-step iteration, and reachability from a boolean
-transitive closure.
+from explicit step-by-step iteration, reachability from a boolean
+transitive closure, and turn fractions from one Dirichlet draw per node.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import itertools
 
 import numpy as np
 
+from noirsim.dynamics import TrafficState
 from noirsim.graph import NoirGraph, RoadAttributes, RoadClass, build_graph
 from noirsim.qp import QpProblem
 
@@ -50,6 +51,39 @@ def reach_closure(n: int, edges) -> np.ndarray:
             break
         adj = new
     return adj
+
+
+def reference_sample_matrices(
+    rng: np.random.Generator, graph: NoirGraph, state: TrafficState, p_max: float = 0.9
+) -> tuple[np.ndarray, dict[tuple[int, int], float], np.ndarray]:
+    """Per-node sampler that ``sample_matrices`` must match bit for bit.
+
+    Draws the outflow probabilities, then visits the inlets and interior
+    nodes in ascending id order and splits each node's outflow over its
+    out-neighbors (ascending) with one ``Generator.dirichlet`` call; a node
+    with a single out-neighbor sends it everything without drawing. Returns
+    the probabilities, the fraction of every routed edge keyed by
+    ``(tail, head)``, and the interior fraction matrix in state order.
+    """
+    n_i, nb = graph.n_interior, graph.n_boundary
+    p = rng.uniform(0.0, p_max, size=n_i)
+    p[state.densities == 0.0] = 0.0
+
+    outs_of: dict[int, list[int]] = {}
+    for u, v in sorted(graph.edges):
+        outs_of.setdefault(u, []).append(v)
+    per_edge: dict[tuple[int, int], float] = {}
+    matrix = np.zeros((n_i, n_i))
+    for j in itertools.chain(graph.inlet_ids, graph.interior_ids):
+        outs = outs_of.get(j, [])
+        if not outs:
+            continue
+        parts = np.array([1.0]) if len(outs) == 1 else rng.dirichlet(np.ones(len(outs)))
+        for t, frac in zip(outs, parts):
+            per_edge[(j, t)] = float(frac)
+            if j > nb and t > nb:
+                matrix[t - nb - 1, j - nb - 1] = frac
+    return p, per_edge, matrix
 
 
 def iterate_prediction(a: np.ndarray, b: np.ndarray, x0: np.ndarray, controls) -> np.ndarray:

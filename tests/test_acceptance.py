@@ -132,9 +132,7 @@ def test_criterion_3_autonomous_nonnegativity():
         q = rng.uniform(0.0, 1.0, size=(n, n))
         x = rng.uniform(0.0, 100.0, size=n)
         x[rng.random(n) < 0.15] = 0.0
-        a = assemble_state_matrix(
-            OutflowProbabilities(p=p), TendencyFractions(per_edge={}, matrix=q)
-        )
+        a = assemble_state_matrix(OutflowProbabilities(p=p), TendencyFractions(matrix=q))
         if not (a @ x >= 0.0).all():
             bad += 1
     elapsed = time.perf_counter() - start

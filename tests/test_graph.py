@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from noirsim.graph import (
     DEFAULT_VEHICLE_LENGTH_M,
     GraphBuildError,
+    NoirGraph,
     RoadAttributes,
     RoadClass,
     build_graph,
@@ -78,6 +79,25 @@ class TestNeighbors:
         assert g.out_neighbors(1) == {4}
         assert g.in_neighbors(1) == set()  # inlets have no in-neighbors
         assert g.out_neighbors(2) == set()  # outlets have no out-neighbors
+
+    def test_neighbors_match_edge_list(self):
+        g = generate_grid_noir(3, 4, 2, 3, seed=0)
+        for i in range(1, g.n_total + 1):
+            assert g.out_neighbors(i) == {v for u, v in g.edges if u == i}
+            assert g.in_neighbors(i) == {u for u, v in g.edges if v == i}
+
+    def test_index_arrays_are_read_only(self):
+        g = chain_graph()
+        for arr in (g.edge_tails, g.edge_heads, g.out_offsets, g.in_offsets, g.in_sources):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_direct_construction_requires_sorted_edges(self):
+        attrs = (None, None, ATTR)
+        with pytest.raises(ValueError, match="sorted"):
+            NoirGraph(n_total=3, n_inlets=1, n_outlets=1, edges=((3, 2), (1, 3)), attributes=attrs)
+        g = NoirGraph(n_total=3, n_inlets=1, n_outlets=1, edges=((1, 3), (3, 2)), attributes=attrs)
+        assert g == tiny_graph()
 
     def test_invalid_id_raises(self):
         g = tiny_graph()

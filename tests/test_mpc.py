@@ -5,7 +5,10 @@ from noirsim.dynamics import (
     OutflowProbabilities,
     TendencyFractions,
     TrafficState,
+    assemble_input_matrix,
+    assemble_state_matrix,
     sample_matrices,
+    step,
 )
 from noirsim.mpc import MpcConfig, build_prediction, build_qp, control_step
 from noirsim.qp import SolveStatus, solve_qp
@@ -13,14 +16,14 @@ from noirsim.qp import SolveStatus, solve_qp
 from helpers import chain_graph, iterate_prediction, tiny_graph
 
 
-def chain_pq(p_values=(0.5, 0.5)):
-    return (
+def chain_ab(p_values=(0.5, 0.5)):
+    """State and input matrices of the chain network: road 4 routes all of
+    its outflow to road 3, which drains to the outlet."""
+    a = assemble_state_matrix(
         OutflowProbabilities(p=np.array(p_values, dtype=float)),
-        TendencyFractions(
-            per_edge={(1, 4): 1.0, (4, 3): 1.0, (3, 2): 1.0},
-            matrix=np.array([[0.0, 1.0], [0.0, 0.0]]),
-        ),
+        TendencyFractions(matrix=np.array([[0.0, 1.0], [0.0, 0.0]])),
     )
+    return a, assemble_input_matrix(chain_graph())
 
 
 class TestBuildPrediction:
@@ -60,10 +63,8 @@ class TestBuildQp:
     def test_minimum_norm_split(self):
         g = tiny_graph()
         probs = OutflowProbabilities(p=np.zeros(1))
-        fractions = TendencyFractions(per_edge={(1, 3): 1.0, (3, 2): 1.0}, matrix=np.zeros((1, 1)))
+        fractions = TendencyFractions(matrix=np.zeros((1, 1)))
         cfg = MpcConfig(d0=100.0, x_max=np.array([1e6]), n_tau=1)
-        from noirsim.dynamics import assemble_input_matrix, assemble_state_matrix
-
         pm = build_prediction(assemble_state_matrix(probs, fractions), assemble_input_matrix(g), 1)
         problem = build_qp(pm, TrafficState(np.zeros(1)), cfg)
         sol = solve_qp(problem)
@@ -131,10 +132,9 @@ class TestBuildQp:
 
 class TestControlStep:
     def test_empty_network_spreads_demand_evenly(self):
-        g = chain_graph()
-        probs, fractions = chain_pq()
+        a, b = chain_ab()
         cfg = MpcConfig(d0=100.0, x_max=np.full(2, 1e6), n_tau=3)
-        s, diag = control_step(g, TrafficState(np.zeros(2)), probs, fractions, cfg)
+        s, diag = control_step(TrafficState(np.zeros(2)), a, b, cfg)
         assert diag.status is SolveStatus.OPTIMAL
         assert s == pytest.approx([50.0, 50.0], abs=1e-8)
 
@@ -145,9 +145,9 @@ class TestControlStep:
         g = philadelphia_noir(seed=0)
         rng = np.random.default_rng(0)
         state = TrafficState(np.zeros(g.n_interior))
-        probs, fractions = sample_matrices(rng, g, state)
+        a = assemble_state_matrix(*sample_matrices(rng, g, state))
         cfg = MpcConfig(d0=100.0, x_max=np.full(g.n_interior, 1e6), n_tau=5)
-        s, diag = control_step(g, state, probs, fractions, cfg)
+        s, diag = control_step(state, a, assemble_input_matrix(g), cfg)
         assert diag.status is SolveStatus.OPTIMAL
         assert s == pytest.approx(np.full(42, 100.0 / 42.0), abs=1e-6)
         assert s[0] == pytest.approx(2.381, abs=1e-3)
@@ -156,37 +156,33 @@ class TestControlStep:
         g = chain_graph()
         rng = np.random.default_rng(5)
         state = TrafficState(np.array([3.0, 4.0]))
-        probs, fractions = sample_matrices(rng, g, state)
+        a = assemble_state_matrix(*sample_matrices(rng, g, state))
+        b = assemble_input_matrix(g)
         cfg = MpcConfig(d0=8.0, x_max=np.array([60.0, 60.0]), n_tau=4)
-        s, diag = control_step(g, state, probs, fractions, cfg)
+        s, diag = control_step(state, a, b, cfg)
         assert diag.status is SolveStatus.OPTIMAL
         assert (s >= 0.0).all()
         assert abs(s.sum() - 8.0) <= 1e-6
         # predicted densities respect capacity across the horizon
-        from noirsim.dynamics import assemble_input_matrix, assemble_state_matrix
-
-        a = assemble_state_matrix(probs, fractions)
-        pm = build_prediction(a, assemble_input_matrix(g), 4)
+        pm = build_prediction(a, b, 4)
         problem = build_qp(pm, state, cfg)
         sol = solve_qp(problem, initial_point=None)
         predicted = pm.G @ state.densities + pm.H @ sol.u_star
         assert (predicted <= np.tile(cfg.x_max, 4) + 1e-6).all()
 
     def test_demand_scaling_homogeneity(self):
-        g = chain_graph()
-        probs, fractions = chain_pq()
+        a, b = chain_ab()
         state = TrafficState(np.zeros(2))
         base_cfg = MpcConfig(d0=10.0, x_max=np.full(2, 1e9), n_tau=2)
-        s1, _ = control_step(g, state, probs, fractions, base_cfg)
+        s1, _ = control_step(state, a, b, base_cfg)
         scaled_cfg = MpcConfig(d0=30.0, x_max=np.full(2, 1e9), n_tau=2)
-        s3, _ = control_step(g, state, probs, fractions, scaled_cfg)
+        s3, _ = control_step(state, a, b, scaled_cfg)
         assert s3 == pytest.approx(3.0 * s1, abs=1e-8)
 
     def test_infeasible_demand_falls_back_by_bisection(self):
         # with the density lower bound on, outlet draws are limited by the
         # vehicles actually present, so a huge demand must relax downward
-        g = chain_graph()
-        probs, fractions = chain_pq(p_values=(0.2, 0.2))
+        a, b = chain_ab(p_values=(0.2, 0.2))
         state = TrafficState(np.array([0.5, 0.5]))
         cfg = MpcConfig(
             d0=100.0,
@@ -194,7 +190,7 @@ class TestControlStep:
             n_tau=1,
             enforce_density_lower_bound=True,
         )
-        s, diag = control_step(g, state, probs, fractions, cfg)
+        s, diag = control_step(state, a, b, cfg)
         assert diag.fallback_used
         assert diag.status is SolveStatus.OPTIMAL
         assert 0.0 < diag.d0_applied < 100.0
@@ -202,18 +198,16 @@ class TestControlStep:
 
     def test_totally_infeasible_reports_zero_flow(self):
         # state already above capacity: no boundary flow can fix it
-        g = chain_graph()
-        probs, fractions = chain_pq(p_values=(0.0, 0.0))
+        a, b = chain_ab(p_values=(0.0, 0.0))
         state = TrafficState(np.array([10.0, 10.0]))
         cfg = MpcConfig(d0=5.0, x_max=np.array([2.0, 2.0]), n_tau=1)
-        s, diag = control_step(g, state, probs, fractions, cfg)
+        s, diag = control_step(state, a, b, cfg)
         assert diag.status is SolveStatus.INFEASIBLE
         assert not diag.fallback_used
         assert np.array_equal(s, np.zeros(2))
 
     def test_lower_bound_keeps_outlet_feeder_nonnegative(self):
-        g = chain_graph()
-        probs, fractions = chain_pq(p_values=(0.5, 0.5))
+        a, b = chain_ab(p_values=(0.5, 0.5))
         state = TrafficState(np.array([0.2, 5.0]))  # road 3 nearly empty
         cfg = MpcConfig(
             d0=50.0,
@@ -221,11 +215,7 @@ class TestControlStep:
             n_tau=2,
             enforce_density_lower_bound=True,
         )
-        s, diag = control_step(g, state, probs, fractions, cfg)
+        s, diag = control_step(state, a, b, cfg)
         assert diag.status is SolveStatus.OPTIMAL
-        from noirsim.dynamics import assemble_input_matrix, assemble_state_matrix, step
-
-        a = assemble_state_matrix(probs, fractions)
-        b = assemble_input_matrix(g)
         nxt = step(state, a, b, s)
         assert (nxt.densities >= -1e-8).all()

@@ -1,117 +1,56 @@
 """noirsim: traffic-density simulation and receding-horizon boundary-flow
-control on directed road networks."""
+control on directed road networks.
+
+The package exports the API that the README documents; everything else is
+reached through its module (``noirsim.graph``, ``noirsim.mpc``, ...).
+"""
 
 __version__ = "0.1.0"
 
 from .dynamics import (
-    OutflowProbabilities,
-    StateMatrixReport,
     TendencyFractions,
     TrafficState,
     assemble_input_matrix,
     assemble_state_matrix,
-    bibo_bound,
     sample_matrices,
-    spectral_radius_estimate,
-    state_matrix_report,
     step,
 )
 from .formats import (
     FormatError,
-    NetworkDocument,
-    NodeRecord,
     document_from_graph,
     graph_from_document,
     parse_network,
-    parse_sim_config,
     serialize_network,
 )
-from .graph import (
-    DEFAULT_VEHICLE_LENGTH_M,
-    CheckResult,
-    GraphBuildError,
-    NoirGraph,
-    RoadAttributes,
-    RoadClass,
-    StructureReport,
-    build_graph,
-    compute_capacity,
-    validate_structure,
-)
-from .harness import (
-    SimConfig,
-    StepRecord,
-    TimeSeriesLog,
-    emit_report,
-    generate_grid_noir,
-    philadelphia_noir,
-    run_simulation,
-)
-from .mpc import (
-    ControlDiagnostics,
-    MpcConfig,
-    PredictionMatrices,
-    build_prediction,
-    build_qp,
-    control_step,
-)
-from .qp import (
-    KktResiduals,
-    QpProblem,
-    QpSolution,
-    SolveStatus,
-    kkt_residuals,
-    solve_qp,
-)
+from .graph import GraphBuildError, NoirGraph, validate_structure
+from .harness import SimConfig, generate_grid_noir, philadelphia_noir, run_simulation
+from .mpc import MpcConfig, control_step
+from .qp import QpProblem, SolveStatus, kkt_residuals, solve_qp
 
 __all__ = [
     "__version__",
-    "DEFAULT_VEHICLE_LENGTH_M",
-    "CheckResult",
-    "ControlDiagnostics",
     "FormatError",
     "GraphBuildError",
-    "KktResiduals",
     "MpcConfig",
-    "NetworkDocument",
-    "NodeRecord",
     "NoirGraph",
-    "OutflowProbabilities",
-    "PredictionMatrices",
     "QpProblem",
-    "QpSolution",
-    "RoadAttributes",
-    "RoadClass",
     "SimConfig",
     "SolveStatus",
-    "StateMatrixReport",
-    "StepRecord",
-    "StructureReport",
     "TendencyFractions",
-    "TimeSeriesLog",
     "TrafficState",
     "assemble_input_matrix",
     "assemble_state_matrix",
-    "bibo_bound",
-    "build_graph",
-    "build_prediction",
-    "build_qp",
-    "compute_capacity",
     "control_step",
     "document_from_graph",
-    "emit_report",
     "generate_grid_noir",
     "graph_from_document",
     "kkt_residuals",
     "parse_network",
-    "parse_sim_config",
     "philadelphia_noir",
     "run_simulation",
     "sample_matrices",
     "serialize_network",
     "solve_qp",
-    "spectral_radius_estimate",
-    "state_matrix_report",
     "step",
     "validate_structure",
 ]

@@ -94,20 +94,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         graph = _load_graph(args.network)
-        report = validate_structure(graph)
-        if not report.all_passed:
-            failed = [name for name, res in report.items() if not res.passed]
-            print(f"network fails validation: {', '.join(failed)}", file=sys.stderr)
-            return EXIT_VALIDATION
         if args.config is None:
             config = SimConfig()
         else:
             config = parse_sim_config(Path(args.config).read_bytes())
+        log = run_simulation(graph, config)
     except (FormatError, GraphBuildError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    log = run_simulation(graph, config)
     paths = emit_report(log, args.out)
     infeasible = sum(
         1 for rec in log.records if rec.status == "infeasible" and not rec.fallback_used

@@ -9,7 +9,8 @@ sorted lexicographically), so equal documents produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from .graph import NoirGraph, RoadAttributes, RoadClass, build_graph
 from .harness import SimConfig
@@ -39,13 +40,40 @@ class NodeRecord:
 
 @dataclass(frozen=True)
 class NetworkDocument:
-    """Validated in-memory form of a network file, prior to graph construction."""
+    """In-memory form of a network file. Construction checks id coverage and
+    class counts; edges are checked when ``graph_from_document`` builds the graph."""
 
     n_in: int
     n_boundary: int
     n_total: int
     nodes: tuple[NodeRecord, ...]
     edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        if self.n_total < 1:
+            raise FormatError("$.n_total", "must be at least 1")
+        if not 0 <= self.n_in <= self.n_boundary <= self.n_total:
+            raise FormatError("$", "need 0 <= n_in <= n_boundary <= n_total")
+        if len(self.nodes) != self.n_total:
+            listed = len(self.nodes)
+            raise FormatError("$.nodes", f"{listed} nodes listed, n_total is {self.n_total}")
+
+        seen_ids: set[int] = set()
+        for pos, node in enumerate(self.nodes):
+            if node.id in seen_ids:
+                raise FormatError(f"$.nodes[{pos}]", f"duplicate id {node.id}")
+            seen_ids.add(node.id)
+        for missing in range(1, self.n_total + 1):
+            if missing not in seen_ids:
+                raise FormatError("$.nodes", f"id gap: id {missing} is missing")
+
+        classes = [node.road_class for node in self.nodes]
+        inlets = classes.count(RoadClass.INLET)
+        boundary = inlets + classes.count(RoadClass.OUTLET)
+        if inlets != self.n_in:
+            raise FormatError("$", f"{inlets} inlet nodes but n_in is {self.n_in}")
+        if boundary != self.n_boundary:
+            raise FormatError("$", f"{boundary} boundary nodes but n_boundary is {self.n_boundary}")
 
 
 def _require_int(value, path: str) -> int:
@@ -77,8 +105,8 @@ def _parse_node(item, path: str) -> NodeRecord:
     length = item.get("length_m")
     if length is not None:
         length = _require_number(length, f"{path}.length_m")
-        if not length > 0:
-            raise FormatError(f"{path}.length_m", f"must be positive, got {length}")
+        if not 0 < length < math.inf:
+            raise FormatError(f"{path}.length_m", f"must be positive and finite, got {length}")
     lanes = item.get("lanes")
     if lanes is not None:
         lanes = _require_int(lanes, f"{path}.lanes")
@@ -89,55 +117,19 @@ def _parse_node(item, path: str) -> NodeRecord:
     return NodeRecord(id=node_id, road_class=cls, length_m=length, lanes=lanes)
 
 
-def validate_document(doc: NetworkDocument) -> None:
-    """Check id coverage, class counts, and edge sanity of a document."""
-    if doc.n_total < 1:
-        raise FormatError("$.n_total", "must be at least 1")
-    if not 0 <= doc.n_in <= doc.n_boundary <= doc.n_total:
-        raise FormatError("$", "need 0 <= n_in <= n_boundary <= n_total")
-    if len(doc.nodes) != doc.n_total:
-        raise FormatError("$.nodes", f"{len(doc.nodes)} nodes listed, n_total is {doc.n_total}")
-
-    seen_ids: set[int] = set()
-    for pos, node in enumerate(doc.nodes):
-        path = f"$.nodes[{pos}]"
-        if node.id in seen_ids:
-            raise FormatError(path, f"duplicate id {node.id}")
-        seen_ids.add(node.id)
-    for missing in range(1, doc.n_total + 1):
-        if missing not in seen_ids:
-            raise FormatError("$.nodes", f"id gap: id {missing} is missing")
-
-    counts = {cls: 0 for cls in RoadClass}
-    for node in doc.nodes:
-        counts[node.road_class] += 1
-    if counts[RoadClass.INLET] != doc.n_in:
-        raise FormatError("$", f"{counts[RoadClass.INLET]} inlet nodes but n_in is {doc.n_in}")
-    if counts[RoadClass.INLET] + counts[RoadClass.OUTLET] != doc.n_boundary:
-        raise FormatError(
-            "$",
-            f"{counts[RoadClass.INLET] + counts[RoadClass.OUTLET]} boundary nodes "
-            f"but n_boundary is {doc.n_boundary}",
-        )
-
-    seen_edges: set[tuple[int, int]] = set()
-    for pos, (u, v) in enumerate(doc.edges):
-        path = f"$.edges[{pos}]"
-        if not (1 <= u <= doc.n_total and 1 <= v <= doc.n_total):
-            raise FormatError(path, f"edge ({u}, {v}) references a missing node")
-        if (u, v) in seen_edges:
-            raise FormatError(path, f"duplicate edge ({u}, {v})")
-        seen_edges.add((u, v))
-
-
-def parse_network(data: bytes | str) -> NetworkDocument:
-    """Parse and validate a network file; every violation names its location."""
+def _load_object(data: bytes | str) -> dict:
     try:
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise FormatError("$", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise FormatError("$", "top level must be an object")
+    return raw
+
+
+def parse_network(data: bytes | str) -> NetworkDocument:
+    """Parse and validate a network file; every violation names its location."""
+    raw = _load_object(data)
     unknown = set(raw) - set(_NETWORK_KEYS)
     if unknown:
         raise FormatError("$", f"unknown field {sorted(unknown)[0]!r}")
@@ -167,15 +159,13 @@ def parse_network(data: bytes | str) -> NetworkDocument:
             raise FormatError(path, f"edge must be a pair of integer ids, got {item!r}")
         edges.append((item[0], item[1]))
 
-    doc = NetworkDocument(
+    return NetworkDocument(
         n_in=n_in,
         n_boundary=n_boundary,
         n_total=n_total,
         nodes=tuple(sorted(nodes, key=lambda n: n.id)),
         edges=tuple(sorted(edges)),
     )
-    validate_document(doc)
-    return doc
 
 
 def serialize_network(doc: NetworkDocument) -> bytes:
@@ -185,7 +175,6 @@ def serialize_network(doc: NetworkDocument) -> bytes:
         nodes=tuple(sorted(doc.nodes, key=lambda n: n.id)),
         edges=tuple(sorted(doc.edges)),
     )
-    validate_document(canonical)
     nodes_json = []
     for node in canonical.nodes:
         entry: dict = {"id": node.id, "class": node.road_class.value}
@@ -205,12 +194,11 @@ def serialize_network(doc: NetworkDocument) -> bytes:
 
 
 def graph_from_document(doc: NetworkDocument) -> NoirGraph:
-    """Build the road network from a validated document.
+    """Build the road network from a document.
 
     Raises GraphBuildError when the document's classes violate the canonical
-    id ordering (inlets, then outlets, then interiors).
+    id ordering (inlets, then outlets, then interiors) or an edge is faulty.
     """
-    validate_document(doc)
     nodes: list[tuple[RoadClass, RoadAttributes | None]] = []
     for node in sorted(doc.nodes, key=lambda n: n.id):
         attr = None
@@ -241,50 +229,18 @@ def document_from_graph(graph: NoirGraph) -> NetworkDocument:
     )
 
 
-_CONFIG_KEYS = (
-    "steps",
-    "dt_seconds",
-    "seed",
-    "d0",
-    "n_tau",
-    "p_max",
-    "l_veh_m",
-    "enforce_density_lower_bound",
-    "initial_density",
-)
-
-
 def parse_sim_config(data: bytes | str) -> SimConfig:
-    """Parse a simulation config file; omitted keys take their defaults."""
-    try:
-        raw = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise FormatError("$", f"invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise FormatError("$", "top level must be an object")
-    unknown = set(raw) - set(_CONFIG_KEYS)
+    """Parse a simulation config file; omitted keys take their defaults and
+    ``SimConfig`` checks every value. JSON integers for real-valued keys
+    become floats, so ``"d0": 100`` echoes as ``100.0``."""
+    raw = _load_object(data)
+    unknown = set(raw) - {f.name for f in fields(SimConfig)}
     if unknown:
         raise FormatError("$", f"unknown field {sorted(unknown)[0]!r}")
-
-    kwargs = {}
-    for key in ("steps", "seed", "n_tau"):
-        if key in raw:
-            kwargs[key] = _require_int(raw[key], f"$.{key}")
-    for key in ("dt_seconds", "d0", "p_max", "l_veh_m"):
-        if key in raw:
-            kwargs[key] = _require_number(raw[key], f"$.{key}")
-    if "enforce_density_lower_bound" in raw:
-        value = raw["enforce_density_lower_bound"]
-        if not isinstance(value, bool):
-            raise FormatError("$.enforce_density_lower_bound", f"expected a boolean, got {value!r}")
-        kwargs["enforce_density_lower_bound"] = value
-    if "initial_density" in raw:
-        value = raw["initial_density"]
-        if not isinstance(value, str):
-            raise FormatError("$.initial_density", f"expected a string, got {value!r}")
-        kwargs["initial_density"] = value
-
+    for f in fields(SimConfig):
+        if f.type == "float" and type(raw.get(f.name)) is int:
+            raw[f.name] = float(raw[f.name])
     try:
-        return SimConfig(**kwargs)
+        return SimConfig(**raw)
     except ValueError as exc:
         raise FormatError("$", str(exc)) from None

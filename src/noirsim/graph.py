@@ -8,6 +8,7 @@ then interior elements.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -38,26 +39,12 @@ class RoadAttributes:
     lane_count: int
 
     def __post_init__(self) -> None:
-        if not self.length_m > 0:
-            raise ValueError(f"road length must be positive, got {self.length_m}")
+        if not 0 < self.length_m < math.inf:
+            raise ValueError(f"road length must be positive and finite, got {self.length_m}")
         if not isinstance(self.lane_count, int) or isinstance(self.lane_count, bool):
             raise ValueError(f"lane count must be an integer, got {self.lane_count!r}")
         if self.lane_count < 1:
             raise ValueError(f"lane count must be at least 1, got {self.lane_count}")
-
-
-def compute_capacity(
-    attributes: RoadAttributes,
-    vehicle_length_m: float = DEFAULT_VEHICLE_LENGTH_M,
-) -> float:
-    """Vehicle capacity of a road element: lanes * length / vehicle length.
-
-    The result is kept as a real number because densities evolve as
-    real-valued expectations, not integer vehicle counts.
-    """
-    if not vehicle_length_m > 0:
-        raise ValueError(f"vehicle length must be positive, got {vehicle_length_m}")
-    return attributes.lane_count * attributes.length_m / vehicle_length_m
 
 
 @dataclass(frozen=True)
@@ -71,6 +58,9 @@ class NoirGraph:
     threads: ``edge_tails`` and ``edge_heads`` follow ``edges``; the
     out-edges of node ``i`` sit at ``out_offsets[i - 1]:out_offsets[i]`` and
     its in-neighbors, ascending, at ``in_sources[in_offsets[i - 1]:in_offsets[i]]``.
+    The constructor is the one edge and attribute check: an interior node
+    without attributes, or an edge that leaves ``1..n_total``, loops, repeats
+    or breaks the order, raises ``GraphBuildError`` naming it.
     """
 
     n_total: int
@@ -85,11 +75,29 @@ class NoirGraph:
     in_sources: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        tails, heads = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
-        if (np.diff(tails * (self.n_total + 1) + heads) <= 0).any():
-            raise ValueError("edges must be distinct and sorted by (tail, head)")
+        n = self.n_total
+        interior = self.attributes[self.n_boundary :]
+        if None in interior:
+            missing = self.interior_id(interior.index(None))
+            raise GraphBuildError(f"interior node {missing} requires attributes")
+        try:
+            tails, heads = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        except OverflowError:
+            # an id past int64 is out of range; object arrays let the check name it
+            tails, heads = np.array(self.edges, dtype=object).reshape(-1, 2).T
+        order = np.diff(tails * (n + 1) + heads, prepend=0)
+        outside = (tails < 1) | (tails > n) | (heads < 1) | (heads > n)
+        for bad, fault in (
+            (outside, f"references a node outside 1..{n}"),
+            (tails == heads, "is a self-loop"),
+            (order == 0, "is a duplicate"),
+            (order < 0, "is out of order: edges must be sorted by (tail, head)"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise GraphBuildError(f"edge ({tails[i]}, {heads[i]}) {fault}")
         by_head = np.lexsort((tails, heads))
-        bounds = np.arange(1, self.n_total + 2)
+        bounds = np.arange(1, n + 2)
         for name, arr in (
             ("edge_tails", tails),
             ("edge_heads", heads),
@@ -159,15 +167,13 @@ class NoirGraph:
         return self.n_boundary + 1 + index
 
     def capacity_vector(self, vehicle_length_m: float = DEFAULT_VEHICLE_LENGTH_M) -> np.ndarray:
-        """Per-interior-road capacities in state order."""
+        """Per-interior-road vehicle capacities in state order: lanes * length /
+        vehicle length, kept real-valued because densities evolve as
+        real-valued expectations, not integer vehicle counts."""
         if not vehicle_length_m > 0:
             raise ValueError(f"vehicle length must be positive, got {vehicle_length_m}")
         interior = self.attributes[self.n_boundary :]
-        if None in interior:
-            missing = self.interior_id(interior.index(None))
-            raise ValueError(f"interior node {missing} has no attributes")
         fields = np.array([(a.lane_count, a.length_m) for a in interior], float).reshape(-1, 2)
-        # compute_capacity's operation order, so the values are identical
         return fields[:, 0] * fields[:, 1] / vehicle_length_m
 
 
@@ -180,6 +186,7 @@ def build_graph(
     Node ids are the 1-based positions in ``nodes``, which must follow the
     canonical ordering (all inlets, then all outlets, then all interiors).
     Interior nodes must carry attributes; boundary nodes may omit them.
+    Edges may come in any order; ``NoirGraph`` checks them once sorted.
     """
     n = len(nodes)
     if n == 0:
@@ -200,28 +207,12 @@ def build_graph(
                 " (inlets, then outlets, then interiors)"
             )
 
-    attrs: list[RoadAttributes | None] = []
-    for idx, (cls, attr) in enumerate(nodes, start=1):
-        if cls is RoadClass.INTERIOR and attr is None:
-            raise GraphBuildError(f"interior node {idx} requires attributes")
-        attrs.append(attr)
-
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphBuildError(f"edge ({u}, {v}) references a node outside 1..{n}")
-        if u == v:
-            raise GraphBuildError(f"self-loop on node {u}")
-        if (u, v) in seen:
-            raise GraphBuildError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-
     return NoirGraph(
         n_total=n,
         n_inlets=n_in,
         n_outlets=n_out,
-        edges=tuple(sorted(seen)),
-        attributes=tuple(attrs),
+        edges=tuple(sorted((u, v) for u, v in edges)),
+        attributes=tuple(attr for _, attr in nodes),
     )
 
 

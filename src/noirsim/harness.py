@@ -11,7 +11,9 @@ used by the bundled experiment (20 inlets, 22 outlets, 217 interior roads).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,14 @@ from .dynamics import (
     sample_matrices,
     step,
 )
-from .graph import NoirGraph, RoadAttributes, RoadClass, build_graph, validate_structure
+from .graph import (
+    GraphBuildError,
+    NoirGraph,
+    RoadAttributes,
+    RoadClass,
+    build_graph,
+    validate_structure,
+)
 from .mpc import ControlDiagnostics, MpcConfig, control_step
 from .qp import SolveStatus
 
@@ -32,10 +41,25 @@ GRID_PRESET = {"rows": 4, "cols": 4, "inlet_count": 4, "outlet_count": 4}
 
 INITIAL_DENSITY_MODES = ("zero", "uniform")
 
+# What each field annotation of SimConfig admits; bool is an int, so the
+# numeric types exclude it by hand. JSON admits Infinity and NaN, which no
+# real-valued field can take.
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": (
+        "a finite real number",
+        lambda v: isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v),
+    ),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Closed-loop experiment parameters, mirroring the JSON config schema."""
+    """Closed-loop experiment parameters, mirroring the JSON config schema.
+    A field of the wrong type (an ``int`` counts as a ``float``) or out of
+    range raises ``ValueError``."""
 
     steps: int = 150
     dt_seconds: float = 20.0
@@ -48,24 +72,23 @@ class SimConfig:
     initial_density: str = "uniform"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 1:
-            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
-        if not self.dt_seconds > 0:
-            raise ValueError(f"dt_seconds must be positive, got {self.dt_seconds}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not self.d0 > 0:
-            raise ValueError(f"d0 must be positive, got {self.d0}")
-        if not isinstance(self.n_tau, int) or isinstance(self.n_tau, bool) or self.n_tau < 1:
-            raise ValueError(f"n_tau must be a positive integer, got {self.n_tau!r}")
-        if not 0.0 < self.p_max < 1.0:
-            raise ValueError(f"p_max must lie strictly between 0 and 1, got {self.p_max}")
-        if not self.l_veh_m > 0:
-            raise ValueError(f"l_veh_m must be positive, got {self.l_veh_m}")
-        if self.initial_density not in INITIAL_DENSITY_MODES:
-            raise ValueError(
-                f"initial_density must be one of {INITIAL_DENSITY_MODES}, got {self.initial_density!r}"
-            )
+        for f in fields(self):
+            noun, admits = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not admits(value):
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+        modes = INITIAL_DENSITY_MODES
+        for name, ok, rule in (
+            ("steps", self.steps >= 1, "positive"),
+            ("dt_seconds", self.dt_seconds > 0, "positive"),
+            ("d0", self.d0 > 0, "positive"),
+            ("n_tau", self.n_tau >= 1, "positive"),
+            ("p_max", 0.0 < self.p_max < 1.0, "strictly between 0 and 1"),
+            ("l_veh_m", self.l_veh_m > 0, "positive"),
+            ("initial_density", self.initial_density in modes, f"one of {modes}"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -218,11 +241,12 @@ def run_simulation(graph: NoirGraph, config: SimConfig) -> TimeSeriesLog:
     solves the boundary-flow program, and advances the plant with the same
     sampled matrices. Identical seeds give identical logs. Infeasible steps
     are recorded (with the relaxed demand actually applied), never raised.
+    A graph that fails structural validation raises ``GraphBuildError``.
     """
     report = validate_structure(graph)
     if not report.all_passed:
         failed = [name for name, res in report.items() if not res.passed]
-        raise ValueError(f"graph fails structural validation: {', '.join(failed)}")
+        raise GraphBuildError(f"graph fails structural validation: {', '.join(failed)}")
 
     rng = np.random.default_rng(config.seed)
     x_max = graph.capacity_vector(config.l_veh_m)

@@ -8,7 +8,7 @@ only the first step of the optimal boundary-flow sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,12 +88,7 @@ def build_prediction(a: np.ndarray, b: np.ndarray, n_tau: int) -> PredictionMatr
     return PredictionMatrices(G=g, H=h, n_tau=n_tau, n_state=n_state, n_input=n_input)
 
 
-def build_qp(
-    pm: PredictionMatrices,
-    state: TrafficState,
-    config: MpcConfig,
-    d0_override: float | None = None,
-) -> QpProblem:
+def build_qp(pm: PredictionMatrices, state: TrafficState, config: MpcConfig) -> QpProblem:
     """Stack the horizon cost and constraints into a quadratic program.
 
     Cost is 0.5 * ||U||^2 over the stacked boundary flows. Constraints: each
@@ -108,11 +103,10 @@ def build_qp(
         raise ValueError(
             f"capacity vector has {config.x_max.size} entries, expected {pm.n_state}"
         )
-    d0 = config.d0 if d0_override is None else d0_override
 
     n = pm.n_tau * pm.n_input
     eq = np.kron(np.eye(pm.n_tau), np.ones((1, pm.n_input)))
-    eq_rhs = np.full(pm.n_tau, float(d0))
+    eq_rhs = np.full(pm.n_tau, float(config.d0))
 
     free_response = pm.G @ x
     cap_rhs = np.tile(config.x_max, pm.n_tau) - free_response
@@ -143,24 +137,11 @@ class ControlDiagnostics:
     iterations: int
 
 
-def _solve_with_demand(
-    pm: PredictionMatrices,
-    state: TrafficState,
-    config: MpcConfig,
-    d0: float,
-    tol: float,
-) -> QpSolution:
-    problem = build_qp(pm, state, config, d0_override=d0)
-    hint = np.full(pm.n_tau * pm.n_input, d0 / pm.n_input)
-    return solve_qp(problem, tol=tol, initial_point=hint)
-
-
 def control_step(
     state: TrafficState,
     a: np.ndarray,
     b: np.ndarray,
     config: MpcConfig,
-    tol: float = 1e-8,
 ) -> tuple[np.ndarray, ControlDiagnostics]:
     """Compute the boundary flows to apply at the current step.
 
@@ -170,16 +151,23 @@ def control_step(
     requested demand is infeasible for the current state, the demand is
     relaxed to the largest feasible value found by bisection (8 rounds); if
     not even zero demand is feasible the returned flows are zero and the
-    status reports infeasibility.
+    status reports infeasibility. The program is built once; a demand probe
+    changes only the right-hand side of its equality rows.
     """
     pm = build_prediction(a, b, config.n_tau)
+    problem = build_qp(pm, state, config)
 
-    sol = _solve_with_demand(pm, state, config, config.d0, tol)
+    def solve_with_demand(d0: float) -> QpSolution:
+        probe = replace(problem, eq_rhs=np.full(pm.n_tau, float(d0)))
+        hint = np.full(problem.n_variables, d0 / pm.n_input)
+        return solve_qp(probe, initial_point=hint)
+
+    sol = solve_with_demand(config.d0)
     d0_applied = config.d0
     fallback = False
     if sol.status is SolveStatus.INFEASIBLE:
         fallback = True
-        zero_sol = _solve_with_demand(pm, state, config, 0.0, tol)
+        zero_sol = solve_with_demand(0.0)
         if zero_sol.status is not SolveStatus.OPTIMAL:
             diag = ControlDiagnostics(
                 status=SolveStatus.INFEASIBLE,
@@ -195,7 +183,7 @@ def control_step(
         hi = config.d0
         for _ in range(8):
             mid = 0.5 * (lo + hi)
-            probe = _solve_with_demand(pm, state, config, mid, tol)
+            probe = solve_with_demand(mid)
             if probe.status is SolveStatus.OPTIMAL:
                 lo, best = mid, probe
             else:

@@ -24,6 +24,10 @@ import scipy.linalg
 from scipy.optimize import linprog
 
 
+# Largest asymmetry |H - H'| accepted, relative to max(1, |H|).
+_SYM_TOL = 1e-8
+
+
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -103,13 +107,13 @@ class QpProblem:
     def n_variables(self) -> int:
         return self.linear.size
 
-    def validate(self, sym_tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         n = self.n_variables
         h = self.hessian
         if h.shape != (n, n):
             raise ValueError(f"hessian shape {h.shape} does not match {n} variables")
         scale = max(1.0, float(np.abs(h).max(initial=0.0)))
-        if float(np.abs(h - h.T).max(initial=0.0)) > sym_tol * scale:
+        if float(np.abs(h - h.T).max(initial=0.0)) > _SYM_TOL * scale:
             raise ValueError("hessian must be symmetric")
         if self.eq_matrix.shape[1] != n or self.eq_matrix.shape[0] != self.eq_rhs.size:
             raise ValueError("equality system dimensions are inconsistent")

@@ -19,10 +19,10 @@ from noirsim.qp import QpProblem
 ATTR = RoadAttributes(length_m=100.0, lane_count=1)
 
 
-def tiny_graph() -> NoirGraph:
-    """Smallest legal network: inlet 1 -> interior 3 -> outlet 2."""
+def tiny_graph(attr: RoadAttributes = ATTR) -> NoirGraph:
+    """Smallest legal network: inlet 1 -> interior 3 (``attr``) -> outlet 2."""
     return build_graph(
-        [(RoadClass.INLET, None), (RoadClass.OUTLET, None), (RoadClass.INTERIOR, ATTR)],
+        [(RoadClass.INLET, None), (RoadClass.OUTLET, None), (RoadClass.INTERIOR, attr)],
         [(1, 3), (3, 2)],
     )
 

@@ -28,8 +28,8 @@ def test_generate_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_validate_reports_failure(tmp_path, capsys):
-    net = tmp_path / "net.json"
+def write_tiny_network(path, edges):
+    """Inlet 1, outlet 2 and interior road 3, joined by ``edges``."""
     payload = {
         "n_in": 1,
         "n_boundary": 2,
@@ -39,11 +39,42 @@ def test_validate_reports_failure(tmp_path, capsys):
             {"id": 2, "class": "outlet"},
             {"id": 3, "class": "interior", "length_m": 100.0, "lanes": 1},
         ],
-        "edges": [[1, 2], [1, 3], [3, 2]],
+        "edges": edges,
     }
-    net.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload))
+
+
+def test_validate_reports_failure(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    write_tiny_network(net, [[1, 2], [1, 3], [3, 2]])
     assert main(["validate", str(net)]) == EXIT_VALIDATION
     assert "no_inlet_to_outlet: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "edges, named",
+    [
+        ([[1, 3], [1, 3], [3, 2]], "edge (1, 3) is a duplicate"),
+        ([[1, 3], [3, 3], [3, 2]], "edge (3, 3) is a self-loop"),
+        ([[1, 3], [3, 2], [3, 7]], "edge (3, 7) references a node outside 1..3"),
+        ([[1, 3], [3, 2], [3, 2**64]], f"edge (3, {2**64}) references a node outside 1..3"),
+    ],
+    ids=["duplicate", "self-loop", "out-of-range", "beyond-int64"],
+)
+def test_validate_names_faulty_edge(tmp_path, capsys, edges, named):
+    net = tmp_path / "net.json"
+    write_tiny_network(net, edges)
+    assert main(["validate", str(net)]) == EXIT_VALIDATION
+    assert named in capsys.readouterr().err
+
+
+def test_simulate_rejects_structurally_invalid_network(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    write_tiny_network(net, [[1, 2], [1, 3], [3, 2]])
+    code = main(["simulate", "--network", str(net), "--out", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    assert "no_inlet_to_outlet" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_malformed_network(tmp_path):
@@ -68,6 +99,17 @@ def test_simulate_end_to_end(tmp_path):
     assert summary["aggregates"]["steps"] == 3
     assert (out / "densities.csv").exists()
     assert (out / "boundary_flows.csv").exists()
+
+
+def test_integer_config_value_echoes_as_real(tmp_path):
+    net = tmp_path / "net.json"
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "results"
+    main(["generate", "--preset", "grid", "--seed", "1", "--out", str(net)])
+    cfg.write_text('{"steps": 2, "d0": 100}')
+    code = main(["simulate", "--network", str(net), "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_OK
+    assert '"d0": 100.0,' in (out / "run_summary.json").read_text()
 
 
 def test_simulate_reports_infeasibility(tmp_path):

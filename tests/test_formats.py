@@ -75,6 +75,12 @@ class TestParseNetwork:
         with pytest.raises(FormatError, match="requires length_m"):
             parse_network(bad)
 
+    def test_infinite_length_rejected(self):
+        bad = MINIMAL.replace('"length_m": 100.0', '"length_m": Infinity')
+        with pytest.raises(FormatError, match="must be positive and finite") as exc:
+            parse_network(bad)
+        assert exc.value.path == "$.nodes[2].length_m"
+
     def test_class_count_mismatch(self):
         bad = MINIMAL.replace('"n_in": 1', '"n_in": 2')
         with pytest.raises(FormatError, match="n_in"):
@@ -176,3 +182,5 @@ class TestParseSimConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(FormatError):
             parse_sim_config(b'{"p_max": 1.5}')
+        with pytest.raises(FormatError, match="d0 must be a finite real number"):
+            parse_sim_config(b'{"d0": Infinity}')

@@ -10,7 +10,6 @@ from noirsim.graph import (
     RoadAttributes,
     RoadClass,
     build_graph,
-    compute_capacity,
     validate_structure,
 )
 from noirsim.harness import generate_grid_noir
@@ -39,21 +38,21 @@ class TestBuildGraph:
         assert (g.n_inlets, g.n_outlets, g.n_interior) == (20, 22, 217)
 
     def test_self_loop_rejected(self):
-        with pytest.raises(GraphBuildError, match="self-loop"):
+        with pytest.raises(GraphBuildError, match=r"edge \(1, 1\) is a self-loop"):
             build_graph(
                 [(RoadClass.INLET, None), (RoadClass.OUTLET, None), (RoadClass.INTERIOR, ATTR)],
                 [(1, 1)],
             )
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(GraphBuildError, match="duplicate"):
+        with pytest.raises(GraphBuildError, match=r"edge \(1, 3\) is a duplicate"):
             build_graph(
                 [(RoadClass.INLET, None), (RoadClass.OUTLET, None), (RoadClass.INTERIOR, ATTR)],
                 [(1, 3), (1, 3)],
             )
 
     def test_out_of_range_edge_rejected(self):
-        with pytest.raises(GraphBuildError, match="outside"):
+        with pytest.raises(GraphBuildError, match=r"edge \(1, 7\) references a node outside 1\.\.2"):
             build_graph([(RoadClass.INLET, None), (RoadClass.OUTLET, None)], [(1, 7)])
 
     def test_class_ordering_enforced(self):
@@ -94,7 +93,7 @@ class TestNeighbors:
 
     def test_direct_construction_requires_sorted_edges(self):
         attrs = (None, None, ATTR)
-        with pytest.raises(ValueError, match="sorted"):
+        with pytest.raises(GraphBuildError, match=r"edge \(1, 3\) is out of order"):
             NoirGraph(n_total=3, n_inlets=1, n_outlets=1, edges=((3, 2), (1, 3)), attributes=attrs)
         g = NoirGraph(n_total=3, n_inlets=1, n_outlets=1, edges=((1, 3), (3, 2)), attributes=attrs)
         assert g == tiny_graph()
@@ -214,25 +213,30 @@ class TestValidateStructure:
 
 
 class TestComputeCapacity:
+    """The capacity formula, read through ``capacity_vector`` of one road."""
+
     def test_two_lane_road(self):
         # independent arithmetic: 2 lanes * 100 m / 4.5 m per vehicle
         expected = 2 * 100.0 / 4.5
-        got = compute_capacity(RoadAttributes(length_m=100.0, lane_count=2), 4.5)
+        (got,) = tiny_graph(RoadAttributes(length_m=100.0, lane_count=2)).capacity_vector(4.5)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(44.44, abs=0.005)
 
     def test_unit_case(self):
-        assert compute_capacity(RoadAttributes(length_m=4.5, lane_count=1), 4.5) == 1.0
+        (got,) = tiny_graph(RoadAttributes(length_m=4.5, lane_count=1)).capacity_vector(4.5)
+        assert got == 1.0
 
     def test_default_vehicle_length(self):
         assert DEFAULT_VEHICLE_LENGTH_M == 4.5
         attr = RoadAttributes(length_m=9.0, lane_count=1)
-        assert compute_capacity(attr) == pytest.approx(2.0)
+        assert tiny_graph(attr).capacity_vector() == pytest.approx([2.0])
 
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(ValueError):
-            compute_capacity(ATTR, 0.0)
+            tiny_graph().capacity_vector(0.0)
         with pytest.raises(ValueError):
             RoadAttributes(length_m=-1.0, lane_count=1)
+        with pytest.raises(ValueError):
+            RoadAttributes(length_m=float("inf"), lane_count=1)
         with pytest.raises(ValueError):
             RoadAttributes(length_m=10.0, lane_count=0)

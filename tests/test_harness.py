@@ -220,3 +220,16 @@ class TestSimConfig:
             SimConfig(p_max=1.0)
         with pytest.raises(ValueError):
             SimConfig(initial_density="full")
+
+    def test_rejects_wrong_types(self):
+        with pytest.raises(ValueError, match="d0 must be a finite real number"):
+            SimConfig(d0="x")
+        with pytest.raises(ValueError, match="enforce_density_lower_bound must be a boolean"):
+            SimConfig(enforce_density_lower_bound="yes")
+        with pytest.raises(ValueError, match="d0 must be a finite real number"):
+            SimConfig(d0=True)
+        with pytest.raises(ValueError, match="d0 must be a finite real number"):
+            SimConfig(d0=float("inf"))
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            SimConfig(steps=3.0)
+        assert SimConfig(d0=100).d0 == 100

@@ -196,6 +196,36 @@ class TestControlStep:
         assert 0.0 < diag.d0_applied < 100.0
         assert s.sum() == pytest.approx(diag.d0_applied, abs=1e-6)
 
+    def test_fallback_builds_the_program_once(self, monkeypatch):
+        # the bisection above solves ten probes of one program, which differ
+        # only in the right-hand side of the equality rows
+        import noirsim.mpc as mpc
+
+        built, solved = [], []
+
+        def counting_build(*args):
+            built.append(build_qp(*args))
+            return built[-1]
+
+        def recording_solve(problem, **kwargs):
+            solved.append(problem)
+            return solve_qp(problem, **kwargs)
+
+        monkeypatch.setattr(mpc, "build_qp", counting_build)
+        monkeypatch.setattr(mpc, "solve_qp", recording_solve)
+        a, b = chain_ab(p_values=(0.2, 0.2))
+        cfg = MpcConfig(
+            d0=100.0, x_max=np.array([6.0, 6.0]), n_tau=1, enforce_density_lower_bound=True
+        )
+        _, diag = control_step(TrafficState(np.array([0.5, 0.5])), a, b, cfg)
+        assert diag.fallback_used
+        assert len(built) == 1
+        assert len(solved) == 10
+        assert [p.eq_rhs[0] for p in solved[:2]] == [100.0, 0.0]
+        for probe in solved:
+            assert probe.ineq_matrix is built[0].ineq_matrix
+            assert probe.ineq_rhs is built[0].ineq_rhs
+
     def test_totally_infeasible_reports_zero_flow(self):
         # state already above capacity: no boundary flow can fix it
         a, b = chain_ab(p_values=(0.0, 0.0))

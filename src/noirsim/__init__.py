@@ -8,7 +8,6 @@ reached through its module (``noirsim.graph``, ``noirsim.mpc``, ...).
 __version__ = "0.1.0"
 
 from .dynamics import (
-    TendencyFractions,
     TrafficState,
     assemble_input_matrix,
     assemble_state_matrix,
@@ -36,7 +35,6 @@ __all__ = [
     "QpProblem",
     "SimConfig",
     "SolveStatus",
-    "TendencyFractions",
     "TrafficState",
     "assemble_input_matrix",
     "assemble_state_matrix",

@@ -104,9 +104,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
 
     paths = emit_report(log, args.out)
-    infeasible = sum(
-        1 for rec in log.records if rec.status == "infeasible" and not rec.fallback_used
-    )
+    infeasible = sum(1 for rec in log.records if rec.status == "infeasible")
     last = log.records[-1]
     print(
         f"ran {len(log.records)} steps; final inflow {last.sum_u:.3f}, "

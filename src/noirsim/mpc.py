@@ -22,10 +22,11 @@ class MpcConfig:
     """Controller parameters.
 
     ``d0`` is the total number of vehicles that must cross the boundary per
-    step; ``x_max`` the per-interior-road capacities in state order. The
-    density lower-bound constraint is off by default: the autonomous part of
-    the dynamics cannot produce negative densities, so the bound only
-    matters when outlet draws overshoot (see ``enforce_density_lower_bound``).
+    step; ``x_max`` the per-interior-road capacities in state order. Both
+    must be finite and positive. The density lower-bound constraint is off
+    by default: the autonomous part of the dynamics cannot produce negative
+    densities, so the bound only matters when outlet draws overshoot (see
+    ``enforce_density_lower_bound``).
     """
 
     d0: float
@@ -34,13 +35,13 @@ class MpcConfig:
     enforce_density_lower_bound: bool = False
 
     def __post_init__(self) -> None:
-        if not self.d0 > 0:
-            raise ValueError(f"d0 must be positive, got {self.d0}")
+        if not 0 < self.d0 < np.inf:
+            raise ValueError(f"d0 must be finite and positive, got {self.d0}")
         if not isinstance(self.n_tau, int) or isinstance(self.n_tau, bool) or self.n_tau < 1:
             raise ValueError(f"horizon must be a positive integer, got {self.n_tau!r}")
         x_max = np.array(self.x_max, dtype=float, copy=True).reshape(-1)
-        if x_max.size == 0 or not (x_max > 0).all():
-            raise ValueError("x_max must be entrywise positive")
+        if x_max.size == 0 or not ((x_max > 0) & (x_max < np.inf)).all():
+            raise ValueError("x_max must be entrywise finite and positive")
         object.__setattr__(self, "x_max", x_max)
 
 

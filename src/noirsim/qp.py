@@ -9,8 +9,8 @@ Solves problems of the form
 with H symmetric positive definite, using a primal active-set method.
 Iterates stay primal feasible, so capacity-style constraints hold at every
 intermediate point. A solution reported optimal carries KKT residuals at or
-below the requested tolerance; infeasible problems come back with a
-certificate naming a set of unsatisfiable rows.
+below ``_TOL``; infeasible problems come back with a certificate naming a set
+of unsatisfiable rows.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from scipy.optimize import linprog
 
 # Largest asymmetry |H - H'| accepted, relative to max(1, |H|).
 _SYM_TOL = 1e-8
+# Optimality and feasibility tolerance: the largest KKT residual of an optimal
+# solution, and the largest constraint violation (relative to the right-hand
+# side's scale) of a feasible point.
+_TOL = 1e-8
 
 
 class SolveStatus(Enum):
@@ -204,7 +208,7 @@ def _solve_kkt(
 
 
 def _phase_one(
-    a: np.ndarray, b: np.ndarray, g: np.ndarray, h: np.ndarray, n: int, feas_tol: float
+    a: np.ndarray, b: np.ndarray, g: np.ndarray, h: np.ndarray, n: int
 ) -> tuple[np.ndarray | None, tuple[int, ...]]:
     """Find a feasible point by minimizing total inequality violation (LP).
 
@@ -224,8 +228,8 @@ def _phase_one(
         return None, tuple(range(m_i))
     t = res.x[n:]
     h_scale = 1.0 + float(np.abs(h).max(initial=0.0))
-    if t.sum() > feas_tol * h_scale:
-        bad = tuple(int(i) for i in np.flatnonzero(t > feas_tol * h_scale))
+    if t.sum() > _TOL * h_scale:
+        bad = tuple(int(i) for i in np.flatnonzero(t > _TOL * h_scale))
         return None, bad or tuple(range(m_i))
     return res.x[:n], ()
 
@@ -249,7 +253,6 @@ def _infeasible(
 
 def solve_qp(
     problem: QpProblem,
-    tol: float = 1e-8,
     max_iter: int | None = None,
     initial_point: np.ndarray | None = None,
 ) -> QpSolution:
@@ -276,7 +279,6 @@ def solve_qp(
             "hessian must be positive definite (symmetric PSD with full rank)"
         ) from None
 
-    feas_tol = max(tol, 1e-9)
     b_scale = 1.0 + float(np.abs(b).max(initial=0.0))
     h_scale = 1.0 + float(np.abs(h).max(initial=0.0))
 
@@ -284,8 +286,8 @@ def solve_qp(
     if m_eq:
         u_eq, *_ = np.linalg.lstsq(a, b, rcond=None)
         resid = np.abs(a @ u_eq - b)
-        if resid.max(initial=0.0) > feas_tol * b_scale:
-            bad = tuple(int(i) for i in np.flatnonzero(resid > feas_tol * b_scale))
+        if resid.max(initial=0.0) > _TOL * b_scale:
+            bad = tuple(int(i) for i in np.flatnonzero(resid > _TOL * b_scale))
             return _infeasible(problem, eq_rows=bad or tuple(range(m_eq)))
         keep = _independent_rows(a)
     else:
@@ -295,9 +297,9 @@ def solve_qp(
     b_keep = b[keep] if keep else np.zeros(0)
 
     def is_feasible(u: np.ndarray) -> bool:
-        if m_eq and float(np.abs(a @ u - b).max()) > feas_tol * b_scale:
+        if m_eq and float(np.abs(a @ u - b).max()) > _TOL * b_scale:
             return False
-        if m_ineq and float((g @ u - h).max()) > feas_tol * h_scale:
+        if m_ineq and float((g @ u - h).max()) > _TOL * h_scale:
             return False
         return True
 
@@ -309,13 +311,14 @@ def solve_qp(
     if u is None and is_feasible(u_eq):
         u = u_eq.copy()
     if u is None:
-        u, bad_rows = _phase_one(a, b, g, h, n, feas_tol)
+        u, bad_rows = _phase_one(a, b, g, h, n)
         if u is None:
             return _infeasible(problem, ineq_rows=bad_rows)
 
     working: list[int] = []  # active inequality rows, kept sorted
     iterations = 0
     mu = np.zeros(len(keep))
+    converged = False
 
     while iterations < max_iter:
         iterations += 1
@@ -328,28 +331,12 @@ def solve_qp(
         p, mu = _solve_kkt(hessian, c_rows, -grad, rhs_bottom)
         step_ref = 1.0 + float(np.abs(u).max(initial=0.0))
 
-        if float(np.abs(p).max(initial=0.0)) <= tol * step_ref:
+        if float(np.abs(p).max(initial=0.0)) <= _TOL * step_ref:
             lam_w = mu[len(keep) :]
-            if lam_w.size == 0 or float(lam_w.min()) >= -tol:
+            if lam_w.size == 0 or float(lam_w.min()) >= -_TOL:
                 u = u + p
-                nu_full = np.zeros(m_eq)
-                if keep:
-                    nu_full[keep] = mu[: len(keep)]
-                lam_full = np.zeros(m_ineq)
-                if working:
-                    lam_full[working] = np.maximum(lam_w, 0.0)
-                kkt = kkt_residuals(problem, u, nu_full, lam_full)
-                status = SolveStatus.OPTIMAL if kkt.within(tol) else SolveStatus.MAX_ITERATIONS
-                return QpSolution(
-                    status=status,
-                    u_star=u,
-                    cost=problem.cost(u),
-                    kkt=kkt,
-                    eq_duals=nu_full,
-                    ineq_duals=lam_full,
-                    n_iterations=iterations,
-                    active_set=tuple(working),
-                )
+                converged = True
+                break
             # drop the most negative multiplier; ties go to the smallest row index
             working.pop(int(np.argmin(lam_w)))
             continue
@@ -375,17 +362,21 @@ def solve_qp(
         if blocker >= 0:
             bisect.insort(working, blocker)
 
+    # The multipliers belong to the working set only when the last KKT solve
+    # used it; an iteration-limit exit may follow a change to the set.
     nu_full = np.zeros(m_eq)
-    if keep and mu.size >= len(keep):
+    if keep:
         nu_full[keep] = mu[: len(keep)]
     lam_full = np.zeros(m_ineq)
     if working and mu.size == len(keep) + len(working):
         lam_full[working] = np.maximum(mu[len(keep) :], 0.0)
+    kkt = kkt_residuals(problem, u, nu_full, lam_full)
+    status = SolveStatus.OPTIMAL if converged and kkt.within(_TOL) else SolveStatus.MAX_ITERATIONS
     return QpSolution(
-        status=SolveStatus.MAX_ITERATIONS,
+        status=status,
         u_star=u,
         cost=problem.cost(u),
-        kkt=kkt_residuals(problem, u, nu_full, lam_full),
+        kkt=kkt,
         eq_duals=nu_full,
         ineq_duals=lam_full,
         n_iterations=iterations,

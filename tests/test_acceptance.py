@@ -9,14 +9,10 @@ import time
 import numpy as np
 
 from noirsim.dynamics import (
-    OutflowProbabilities,
-    TendencyFractions,
     TrafficState,
     assemble_input_matrix,
     assemble_state_matrix,
-    bibo_bound,
     sample_matrices,
-    spectral_radius_estimate,
     step,
 )
 from noirsim.formats import document_from_graph, parse_network, serialize_network
@@ -31,7 +27,13 @@ from noirsim.harness import (
 from noirsim.mpc import build_prediction
 from noirsim.qp import QpProblem, SolveStatus, solve_qp
 
-from helpers import enumerate_qp, iterate_prediction, random_feasible_qp
+from helpers import (
+    bibo_bound,
+    enumerate_qp,
+    iterate_prediction,
+    random_feasible_qp,
+    spectral_radius_estimate,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -132,7 +134,7 @@ def test_criterion_3_autonomous_nonnegativity():
         q = rng.uniform(0.0, 1.0, size=(n, n))
         x = rng.uniform(0.0, 100.0, size=n)
         x[rng.random(n) < 0.15] = 0.0
-        a = assemble_state_matrix(OutflowProbabilities(p=p), TendencyFractions(matrix=q))
+        a = assemble_state_matrix(p, q)
         if not (a @ x >= 0.0).all():
             bad += 1
     elapsed = time.perf_counter() - start

@@ -13,6 +13,8 @@ from noirsim.harness import (
     run_simulation,
 )
 
+from helpers import bibo_bound
+
 
 class TestGenerator:
     def test_minimal_grid_is_valid(self):
@@ -140,9 +142,24 @@ class TestRun:
                 assert rec.sum_u == 0.0 and rec.sum_v == 0.0
                 assert rec.cost is None
 
-    def test_bibo_bound_respected_over_run(self):
-        from noirsim.dynamics import bibo_bound
+    def test_binding_capacity_regime(self):
+        # the city preset at ten times its demand: capacity binds, so runs take
+        # the active-set, phase-one and infeasible paths of the solver
+        g = philadelphia_noir(seed=1)
+        log = run_simulation(g, SimConfig(steps=20, seed=1, d0=1000.0))
+        optimal = [rec for rec in log.records if rec.status == "optimal"]
+        infeasible = [rec for rec in log.records if rec.status == "infeasible"]
+        assert any(rec.active_set_size > 0 for rec in optimal)
+        assert infeasible
+        for rec in optimal:
+            assert abs(rec.sum_u + rec.sum_v - rec.d0_applied) <= 1e-6
+            assert rec.flows.min() >= -1e-9
+            assert rec.kkt_worst is not None and rec.kkt_worst <= 1e-8
+        for rec in infeasible:
+            assert np.array_equal(rec.flows, np.zeros_like(rec.flows))
+            assert rec.cost is None
 
+    def test_bibo_bound_respected_over_run(self):
         g = generate_grid_noir(3, 3, 1, 1, seed=6)
         cfg = SimConfig(steps=40, seed=2, d0=5.0)
         log = run_simulation(g, cfg)

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from noirsim.dynamics import (
-    OutflowProbabilities,
-    TendencyFractions,
     TrafficState,
     assemble_input_matrix,
     assemble_state_matrix,
@@ -20,10 +18,20 @@ def chain_ab(p_values=(0.5, 0.5)):
     """State and input matrices of the chain network: road 4 routes all of
     its outflow to road 3, which drains to the outlet."""
     a = assemble_state_matrix(
-        OutflowProbabilities(p=np.array(p_values, dtype=float)),
-        TendencyFractions(matrix=np.array([[0.0, 1.0], [0.0, 0.0]])),
+        np.array(p_values, dtype=float), np.array([[0.0, 1.0], [0.0, 0.0]])
     )
     return a, assemble_input_matrix(chain_graph())
+
+
+class TestMpcConfig:
+    def test_rejects_infinite_demand(self):
+        for d0 in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="d0"):
+                MpcConfig(d0=d0, x_max=np.array([60.0, 60.0]))
+
+    def test_rejects_infinite_capacity(self):
+        with pytest.raises(ValueError, match="x_max"):
+            MpcConfig(d0=100.0, x_max=np.array([np.inf, 60.0]))
 
 
 class TestBuildPrediction:
@@ -62,8 +70,7 @@ class TestBuildPrediction:
 class TestBuildQp:
     def test_minimum_norm_split(self):
         g = tiny_graph()
-        probs = OutflowProbabilities(p=np.zeros(1))
-        fractions = TendencyFractions(matrix=np.zeros((1, 1)))
+        probs, fractions = np.zeros(1), np.zeros((1, 1))
         cfg = MpcConfig(d0=100.0, x_max=np.array([1e6]), n_tau=1)
         pm = build_prediction(assemble_state_matrix(probs, fractions), assemble_input_matrix(g), 1)
         problem = build_qp(pm, TrafficState(np.zeros(1)), cfg)

@@ -109,7 +109,7 @@ class TestSolverProperties:
     def test_unique_optimum_across_warm_starts(self):
         problem = budget_problem([[1.0, 0.0]], [30.0])
         hints = [None, np.array([0.0, 100.0]), np.array([25.0, 75.0]), np.array([90.0, 10.0])]
-        solutions = [solve_qp(problem, tol=1e-8, initial_point=h).u_star for h in hints]
+        solutions = [solve_qp(problem, initial_point=h).u_star for h in hints]
         for u in solutions[1:]:
             assert np.abs(u - solutions[0]).max() <= 10 * 1e-8
 

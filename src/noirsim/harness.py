@@ -293,14 +293,15 @@ def _make_record(
     x_max: np.ndarray,
 ) -> StepRecord:
     x = state.densities
+    sol = diag.solution
     return StepRecord(
         step=state.step,
         sum_u=float(s_star[: graph.n_inlets].sum()),
         sum_v=float(s_star[graph.n_inlets :].sum()),
-        cost=diag.cost,
-        status=diag.status.value,
-        kkt_worst=None if diag.kkt is None else diag.kkt.worst(),
-        active_set_size=diag.active_set_size,
+        cost=sol.cost,
+        status=sol.status.value,
+        kkt_worst=None if sol.kkt is None else sol.kkt.worst(),
+        active_set_size=len(sol.active_set),
         d0_applied=diag.d0_applied,
         fallback_used=diag.fallback_used,
         slack_capacity=float(max(0.0, (x - x_max).max())),

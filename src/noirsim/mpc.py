@@ -14,7 +14,7 @@ import numpy as np
 
 # The assemble_* names are unused here; benchmarks/tracing.py still wraps them.
 from .dynamics import TrafficState, assemble_input_matrix, assemble_state_matrix  # noqa: F401
-from .qp import KktResiduals, QpProblem, QpSolution, SolveStatus, solve_qp
+from .qp import QpProblem, QpSolution, SolveStatus, solve_qp
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def build_qp(pm: PredictionMatrices, state: TrafficState, config: MpcConfig) -> 
         ineq = np.vstack([ineq, -pm.H])
         rhs = np.concatenate([rhs, free_response])
 
-    return QpProblem.build(
+    return QpProblem(
         hessian=np.eye(n),
         linear=np.zeros(n),
         eq_matrix=eq,
@@ -129,13 +129,12 @@ def build_qp(pm: PredictionMatrices, state: TrafficState, config: MpcConfig) -> 
 
 @dataclass(frozen=True)
 class ControlDiagnostics:
-    status: SolveStatus
-    cost: float | None
-    kkt: KktResiduals | None
-    active_set_size: int
+    """The solve whose flows were applied, the demand they meet, and whether
+    that demand was relaxed from ``d0``."""
+
+    solution: QpSolution
     d0_applied: float
     fallback_used: bool
-    iterations: int
 
 
 def control_step(
@@ -152,36 +151,28 @@ def control_step(
     requested demand is infeasible for the current state, the demand is
     relaxed to the largest feasible value found by bisection (8 rounds); if
     not even zero demand is feasible the returned flows are zero and the
-    status reports infeasibility. The program is built once; a demand probe
-    changes only the right-hand side of its equality rows.
+    diagnostics hold the infeasible first solve. The program is built once;
+    a demand probe changes only the right-hand side of its equality rows.
     """
     pm = build_prediction(a, b, config.n_tau)
     problem = build_qp(pm, state, config)
 
+    def hint(d0: float) -> np.ndarray:
+        return np.full(problem.n_variables, d0 / pm.n_input)
+
     def solve_with_demand(d0: float) -> QpSolution:
         probe = replace(problem, eq_rhs=np.full(pm.n_tau, float(d0)))
-        hint = np.full(problem.n_variables, d0 / pm.n_input)
-        return solve_qp(probe, initial_point=hint)
+        return solve_qp(probe, initial_point=hint(d0))
 
-    sol = solve_with_demand(config.d0)
-    d0_applied = config.d0
-    fallback = False
+    # build_qp already asks for d0 at every horizon step
+    sol = solve_qp(problem, initial_point=hint(config.d0))
+    d0_applied, fallback = config.d0, False
     if sol.status is SolveStatus.INFEASIBLE:
-        fallback = True
         zero_sol = solve_with_demand(0.0)
         if zero_sol.status is not SolveStatus.OPTIMAL:
-            diag = ControlDiagnostics(
-                status=SolveStatus.INFEASIBLE,
-                cost=None,
-                kkt=None,
-                active_set_size=0,
-                d0_applied=0.0,
-                fallback_used=False,
-                iterations=sol.n_iterations,
-            )
-            return np.zeros(pm.n_input), diag
-        lo, best = 0.0, zero_sol
-        hi = config.d0
+            return np.zeros(pm.n_input), ControlDiagnostics(sol, 0.0, False)
+        fallback = True
+        lo, hi, best = 0.0, config.d0, zero_sol
         for _ in range(8):
             mid = 0.5 * (lo + hi)
             probe = solve_with_demand(mid)
@@ -191,14 +182,4 @@ def control_step(
                 hi = mid
         sol, d0_applied = best, lo
 
-    s_star = np.array(sol.u_star[: pm.n_input], dtype=float, copy=True)
-    diag = ControlDiagnostics(
-        status=sol.status,
-        cost=sol.cost,
-        kkt=sol.kkt,
-        active_set_size=len(sol.active_set),
-        d0_applied=d0_applied,
-        fallback_used=fallback,
-        iterations=sol.n_iterations,
-    )
-    return s_star, diag
+    return sol.u_star[: pm.n_input].copy(), ControlDiagnostics(sol, d0_applied, fallback)

@@ -21,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.optimize import linprog
 
 
@@ -61,59 +62,36 @@ class KktResiduals:
         return self.worst() <= tol
 
 
-def _as_matrix(m, n_cols: int) -> np.ndarray:
-    if m is None:
-        return np.zeros((0, n_cols))
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    return m
-
-
-def _as_vector(v) -> np.ndarray:
-    if v is None:
-        return np.zeros(0)
-    return np.asarray(v, dtype=float).reshape(-1)
-
-
 @dataclass(frozen=True)
 class QpProblem:
-    """A quadratic program in standard form (see module docstring)."""
+    """A quadratic program in standard form (see module docstring).
+
+    Construction normalizes and checks the input once: an absent constraint
+    block becomes empty and a 1-D block one row; a float array already in
+    shape is kept, not copied. Mismatched shapes, or a hessian that is not
+    symmetric positive definite, raise ``ValueError``.
+    """
 
     hessian: np.ndarray
     linear: np.ndarray
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    ineq_matrix: np.ndarray
-    ineq_rhs: np.ndarray
+    eq_matrix: np.ndarray | None = None
+    eq_rhs: np.ndarray | None = None
+    ineq_matrix: np.ndarray | None = None
+    ineq_rhs: np.ndarray | None = None
 
-    @staticmethod
-    def build(
-        hessian,
-        linear,
-        eq_matrix=None,
-        eq_rhs=None,
-        ineq_matrix=None,
-        ineq_rhs=None,
-    ) -> "QpProblem":
-        linear = _as_vector(linear)
-        n = linear.size
-        return QpProblem(
-            hessian=np.asarray(hessian, dtype=float),
-            linear=linear,
-            eq_matrix=_as_matrix(eq_matrix, n),
-            eq_rhs=_as_vector(eq_rhs),
-            ineq_matrix=_as_matrix(ineq_matrix, n),
-            ineq_rhs=_as_vector(ineq_rhs),
-        )
-
-    @property
-    def n_variables(self) -> int:
-        return self.linear.size
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for name in ("linear", "eq_rhs", "ineq_rhs"):
+            v = getattr(self, name)
+            v = np.asarray(() if v is None else v, dtype=float)
+            object.__setattr__(self, name, v if v.ndim == 1 else v.reshape(-1))
         n = self.n_variables
-        h = self.hessian
+        for name in ("eq_matrix", "ineq_matrix"):
+            m = getattr(self, name)
+            m = np.zeros((0, n)) if m is None else np.asarray(m, dtype=float)
+            object.__setattr__(self, name, m.reshape(1, -1) if m.ndim == 1 else m)
+        h = np.asarray(self.hessian, dtype=float)
+        object.__setattr__(self, "hessian", h)
+
         if h.shape != (n, n):
             raise ValueError(f"hessian shape {h.shape} does not match {n} variables")
         scale = max(1.0, float(np.abs(h).max(initial=0.0)))
@@ -123,6 +101,16 @@ class QpProblem:
             raise ValueError("equality system dimensions are inconsistent")
         if self.ineq_matrix.shape[1] != n or self.ineq_matrix.shape[0] != self.ineq_rhs.size:
             raise ValueError("inequality system dimensions are inconsistent")
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                "hessian must be positive definite (symmetric PSD with full rank)"
+            ) from None
+
+    @property
+    def n_variables(self) -> int:
+        return self.linear.size
 
     def cost(self, u: np.ndarray) -> float:
         return float(0.5 * u @ self.hessian @ u + self.linear @ u)
@@ -130,14 +118,16 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class QpSolution:
+    """A solve's result; an infeasible one holds only its status and certificate."""
+
     status: SolveStatus
-    u_star: np.ndarray | None
-    cost: float | None
-    kkt: KktResiduals | None
-    eq_duals: np.ndarray | None
-    ineq_duals: np.ndarray | None
-    n_iterations: int
-    active_set: tuple[int, ...]
+    u_star: np.ndarray | None = None
+    cost: float | None = None
+    kkt: KktResiduals | None = None
+    eq_duals: np.ndarray | None = None
+    ineq_duals: np.ndarray | None = None
+    n_iterations: int = 0
+    active_set: tuple[int, ...] = ()
     infeasible_eq_rows: tuple[int, ...] = ()
     infeasible_ineq_rows: tuple[int, ...] = ()
 
@@ -158,8 +148,8 @@ def kkt_residuals(
         raise ValueError(f"point has {u.size} entries, expected {problem.n_variables}")
     a, b = problem.eq_matrix, problem.eq_rhs
     g, h = problem.ineq_matrix, problem.ineq_rhs
-    nu = np.zeros(a.shape[0]) if eq_duals is None else _as_vector(eq_duals)
-    lam = np.zeros(g.shape[0]) if ineq_duals is None else _as_vector(ineq_duals)
+    nu = np.zeros(a.shape[0]) if eq_duals is None else np.asarray(eq_duals, float).ravel()
+    lam = np.zeros(g.shape[0]) if ineq_duals is None else np.asarray(ineq_duals, float).ravel()
     if nu.size != a.shape[0] or lam.size != g.shape[0]:
         raise ValueError("dual vector dimensions are inconsistent")
 
@@ -217,11 +207,17 @@ def _phase_one(
     """
     m_e, m_i = a.shape[0], g.shape[0]
     cost = np.concatenate([np.zeros(n), np.ones(m_i)])
-    a_ub = np.hstack([g, -np.eye(m_i)])
+    # Sparse blocks: HiGHS takes a sparse matrix, so dense ones would only be
+    # built here to be converted back inside linprog.
+    a_ub = scipy.sparse.hstack(
+        [scipy.sparse.csr_matrix(g), -scipy.sparse.identity(m_i, format="csr")], format="csr"
+    )
     bounds = [(None, None)] * n + [(0.0, None)] * m_i
     kwargs = {}
     if m_e:
-        kwargs["A_eq"] = np.hstack([a, np.zeros((m_e, m_i))])
+        kwargs["A_eq"] = scipy.sparse.hstack(
+            [scipy.sparse.csr_matrix(a), scipy.sparse.csr_matrix((m_e, m_i))], format="csr"
+        )
         kwargs["b_eq"] = b
     res = linprog(cost, A_ub=a_ub, b_ub=h, bounds=bounds, method="highs", **kwargs)
     if not res.success:
@@ -232,23 +228,6 @@ def _phase_one(
         bad = tuple(int(i) for i in np.flatnonzero(t > _TOL * h_scale))
         return None, bad or tuple(range(m_i))
     return res.x[:n], ()
-
-
-def _infeasible(
-    problem: QpProblem, eq_rows: tuple[int, ...] = (), ineq_rows: tuple[int, ...] = ()
-) -> QpSolution:
-    return QpSolution(
-        status=SolveStatus.INFEASIBLE,
-        u_star=None,
-        cost=None,
-        kkt=None,
-        eq_duals=None,
-        ineq_duals=None,
-        n_iterations=0,
-        active_set=(),
-        infeasible_eq_rows=eq_rows,
-        infeasible_ineq_rows=ineq_rows,
-    )
 
 
 def solve_qp(
@@ -263,7 +242,6 @@ def solve_qp(
     (which constraint to activate or drop) are broken by smallest row
     index, so repeated solves are deterministic.
     """
-    problem.validate()
     hessian, c = problem.hessian, problem.linear
     a, b = problem.eq_matrix, problem.eq_rhs
     g, h = problem.ineq_matrix, problem.ineq_rhs
@@ -271,13 +249,6 @@ def solve_qp(
     m_eq, m_ineq = a.shape[0], g.shape[0]
     if max_iter is None:
         max_iter = 10 * (n + m_eq + m_ineq)
-
-    try:
-        np.linalg.cholesky(hessian)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "hessian must be positive definite (symmetric PSD with full rank)"
-        ) from None
 
     b_scale = 1.0 + float(np.abs(b).max(initial=0.0))
     h_scale = 1.0 + float(np.abs(h).max(initial=0.0))
@@ -288,7 +259,7 @@ def solve_qp(
         resid = np.abs(a @ u_eq - b)
         if resid.max(initial=0.0) > _TOL * b_scale:
             bad = tuple(int(i) for i in np.flatnonzero(resid > _TOL * b_scale))
-            return _infeasible(problem, eq_rows=bad or tuple(range(m_eq)))
+            return QpSolution(SolveStatus.INFEASIBLE, infeasible_eq_rows=bad or tuple(range(m_eq)))
         keep = _independent_rows(a)
     else:
         u_eq = np.zeros(n)
@@ -313,7 +284,7 @@ def solve_qp(
     if u is None:
         u, bad_rows = _phase_one(a, b, g, h, n)
         if u is None:
-            return _infeasible(problem, ineq_rows=bad_rows)
+            return QpSolution(SolveStatus.INFEASIBLE, infeasible_ineq_rows=bad_rows)
 
     working: list[int] = []  # active inequality rows, kept sorted
     iterations = 0

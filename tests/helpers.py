@@ -213,4 +213,4 @@ def random_feasible_qp(
         h = g @ witness + slack
     else:
         g, h = None, None
-    return QpProblem.build(hess, lin, a, b, g, h)
+    return QpProblem(hess, lin, a, b, g, h)

@@ -146,7 +146,7 @@ def test_criterion_4_qp_correctness():
     """Exact minimum-norm example, agreement with the enumeration oracle on
     200 random problems, and KKT residuals at most 1e-8 on every solve."""
     start = time.perf_counter()
-    problem = QpProblem.build(
+    problem = QpProblem(
         np.eye(2), np.zeros(2), [[1.0, 1.0]], [100.0], -np.eye(2), np.zeros(2)
     )
     sol = solve_qp(problem)

@@ -158,6 +158,11 @@ class TestRun:
         for rec in infeasible:
             assert np.array_equal(rec.flows, np.zeros_like(rec.flows))
             assert rec.cost is None
+        # Without the density lower bound any demand is feasible whenever zero
+        # flows are: the outlet columns of A^k B are <= 0, so the demand can
+        # go to the outlets. Demand is therefore never relaxed here.
+        assert not any(rec.fallback_used for rec in log.records)
+        assert all(rec.d0_applied in (0.0, 1000.0) for rec in log.records)
 
     def test_bibo_bound_respected_over_run(self):
         g = generate_grid_noir(3, 3, 1, 1, seed=6)

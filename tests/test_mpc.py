@@ -142,7 +142,7 @@ class TestControlStep:
         a, b = chain_ab()
         cfg = MpcConfig(d0=100.0, x_max=np.full(2, 1e6), n_tau=3)
         s, diag = control_step(TrafficState(np.zeros(2)), a, b, cfg)
-        assert diag.status is SolveStatus.OPTIMAL
+        assert diag.solution.status is SolveStatus.OPTIMAL
         assert s == pytest.approx([50.0, 50.0], abs=1e-8)
 
     def test_city_scale_even_split(self):
@@ -155,7 +155,7 @@ class TestControlStep:
         a = assemble_state_matrix(*sample_matrices(rng, g, state))
         cfg = MpcConfig(d0=100.0, x_max=np.full(g.n_interior, 1e6), n_tau=5)
         s, diag = control_step(state, a, assemble_input_matrix(g), cfg)
-        assert diag.status is SolveStatus.OPTIMAL
+        assert diag.solution.status is SolveStatus.OPTIMAL
         assert s == pytest.approx(np.full(42, 100.0 / 42.0), abs=1e-6)
         assert s[0] == pytest.approx(2.381, abs=1e-3)
 
@@ -167,7 +167,7 @@ class TestControlStep:
         b = assemble_input_matrix(g)
         cfg = MpcConfig(d0=8.0, x_max=np.array([60.0, 60.0]), n_tau=4)
         s, diag = control_step(state, a, b, cfg)
-        assert diag.status is SolveStatus.OPTIMAL
+        assert diag.solution.status is SolveStatus.OPTIMAL
         assert (s >= 0.0).all()
         assert abs(s.sum() - 8.0) <= 1e-6
         # predicted densities respect capacity across the horizon
@@ -199,7 +199,7 @@ class TestControlStep:
         )
         s, diag = control_step(state, a, b, cfg)
         assert diag.fallback_used
-        assert diag.status is SolveStatus.OPTIMAL
+        assert diag.solution.status is SolveStatus.OPTIMAL
         assert 0.0 < diag.d0_applied < 100.0
         assert s.sum() == pytest.approx(diag.d0_applied, abs=1e-6)
 
@@ -239,8 +239,9 @@ class TestControlStep:
         state = TrafficState(np.array([10.0, 10.0]))
         cfg = MpcConfig(d0=5.0, x_max=np.array([2.0, 2.0]), n_tau=1)
         s, diag = control_step(state, a, b, cfg)
-        assert diag.status is SolveStatus.INFEASIBLE
+        assert diag.solution.status is SolveStatus.INFEASIBLE
         assert not diag.fallback_used
+        assert diag.solution.infeasible_ineq_rows  # the certificate reaches the caller
         assert np.array_equal(s, np.zeros(2))
 
     def test_lower_bound_keeps_outlet_feeder_nonnegative(self):
@@ -253,6 +254,6 @@ class TestControlStep:
             enforce_density_lower_bound=True,
         )
         s, diag = control_step(state, a, b, cfg)
-        assert diag.status is SolveStatus.OPTIMAL
+        assert diag.solution.status is SolveStatus.OPTIMAL
         nxt = step(state, a, b, s)
         assert (nxt.densities >= -1e-8).all()

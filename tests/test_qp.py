@@ -13,7 +13,7 @@ def budget_problem(extra_rows=None, extra_rhs=None):
     if extra_rows is not None:
         ineq = np.vstack([ineq, extra_rows])
         rhs = np.concatenate([rhs, extra_rhs])
-    return QpProblem.build(
+    return QpProblem(
         np.eye(2), np.zeros(2), [[1.0, 1.0]], [100.0], ineq, rhs
     )
 
@@ -37,7 +37,7 @@ class TestSolve:
         assert sol.infeasible_ineq_rows  # certificate names violated rows
 
     def test_contradictory_equalities_infeasible(self):
-        problem = QpProblem.build(
+        problem = QpProblem(
             np.eye(1), np.zeros(1), [[1.0], [1.0]], [0.0, 1.0]
         )
         sol = solve_qp(problem)
@@ -45,7 +45,7 @@ class TestSolve:
         assert sol.infeasible_eq_rows
 
     def test_unconstrained(self):
-        problem = QpProblem.build(2.0 * np.eye(2), np.array([-2.0, -4.0]))
+        problem = QpProblem(2.0 * np.eye(2), np.array([-2.0, -4.0]))
         sol = solve_qp(problem)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.u_star == pytest.approx([1.0, 2.0], abs=1e-10)
@@ -58,19 +58,40 @@ class TestSolve:
         assert sol.kkt is not None
 
     def test_dimension_mismatch_rejected(self):
-        problem = QpProblem.build(np.eye(2), np.zeros(3))
         with pytest.raises(ValueError):
-            solve_qp(problem)
+            QpProblem(np.eye(2), np.zeros(3))
 
     def test_non_psd_hessian_rejected(self):
-        problem = QpProblem.build(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2))
         with pytest.raises(ValueError, match="positive definite"):
-            solve_qp(problem)
+            QpProblem(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2))
 
     def test_asymmetric_hessian_rejected(self):
-        problem = QpProblem.build(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
         with pytest.raises(ValueError, match="symmetric"):
-            solve_qp(problem)
+            QpProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+
+    def test_phase_one_lp_is_sparse(self, monkeypatch):
+        # the least-squares start (50, 50) breaks u1 <= 30, so phase one runs;
+        # its LP gets [G, -I] as a sparse matrix, never a dense one
+        import scipy.sparse
+
+        import noirsim.qp as qp
+
+        calls, linprog = [], qp.linprog
+
+        def recording_linprog(*args, **kwargs):
+            calls.append(kwargs)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(qp, "linprog", recording_linprog)
+        problem = budget_problem([[1.0, 0.0]], [30.0])
+        sol = solve_qp(problem)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert len(calls) == 1
+        a_ub = calls[0]["A_ub"]
+        assert scipy.sparse.issparse(a_ub)
+        m_ineq = problem.ineq_matrix.shape[0]
+        assert a_ub.nnz == np.count_nonzero(problem.ineq_matrix) + m_ineq
+        assert scipy.sparse.issparse(calls[0]["A_eq"])
 
 
 class TestKktResiduals:
@@ -122,7 +143,7 @@ class TestSolverProperties:
             base = solve_qp(problem)
             if base.status is not SolveStatus.OPTIMAL:
                 continue
-            tightened = QpProblem.build(
+            tightened = QpProblem(
                 problem.hessian,
                 problem.linear,
                 problem.eq_matrix if problem.eq_matrix.size else None,

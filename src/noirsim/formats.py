@@ -231,15 +231,11 @@ def document_from_graph(graph: NoirGraph) -> NetworkDocument:
 
 def parse_sim_config(data: bytes | str) -> SimConfig:
     """Parse a simulation config file; omitted keys take their defaults and
-    ``SimConfig`` checks every value. JSON integers for real-valued keys
-    become floats, so ``"d0": 100`` echoes as ``100.0``."""
+    ``SimConfig`` checks every value (and stores ``"d0": 100`` as ``100.0``)."""
     raw = _load_object(data)
     unknown = set(raw) - {f.name for f in fields(SimConfig)}
     if unknown:
         raise FormatError("$", f"unknown field {sorted(unknown)[0]!r}")
-    for f in fields(SimConfig):
-        if f.type == "float" and type(raw.get(f.name)) is int:
-            raw[f.name] = float(raw[f.name])
     try:
         return SimConfig(**raw)
     except ValueError as exc:

@@ -58,8 +58,8 @@ _FIELD_TYPES = {
 @dataclass(frozen=True)
 class SimConfig:
     """Closed-loop experiment parameters, mirroring the JSON config schema.
-    A field of the wrong type (an ``int`` counts as a ``float``) or out of
-    range raises ``ValueError``."""
+    A field of the wrong type (an ``int`` counts as a ``float`` and is stored
+    as one) or out of range raises ``ValueError``."""
 
     steps: int = 150
     dt_seconds: float = 20.0
@@ -77,6 +77,8 @@ class SimConfig:
             value = getattr(self, f.name)
             if not admits(value):
                 raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(value))
         modes = INITIAL_DENSITY_MODES
         for name, ok, rule in (
             ("steps", self.steps >= 1, "positive"),

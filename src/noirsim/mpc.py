@@ -74,18 +74,21 @@ def build_prediction(a: np.ndarray, b: np.ndarray, n_tau: int) -> PredictionMatr
         raise ValueError(f"input matrix shape {b.shape} does not match state size {n_state}")
     n_input = b.shape[1]
 
-    powers = [a]
-    for _ in range(n_tau - 1):
-        powers.append(powers[-1] @ a)
-    g = np.vstack(powers)
+    powers = np.empty((n_tau, n_state, n_state))
+    powers[0] = a
+    for k in range(1, n_tau):
+        np.matmul(powers[k - 1], a, out=powers[k])
+    g = powers.reshape(n_tau * n_state, n_state)
 
-    blocks = [b]
-    for level in range(1, n_tau):
-        blocks.append(powers[level - 1] @ b)
+    # the first block column [B; AB; ...; A^(n_tau-1) B]; block column c is
+    # the same column shifted down by c blocks
+    column = np.empty((n_tau, n_state, n_input))
+    column[0] = b
+    np.matmul(powers[:-1], b, out=column[1:])
+    column = column.reshape(n_tau * n_state, n_input)
     h = np.zeros((n_tau * n_state, n_tau * n_input))
-    for r in range(n_tau):
-        for c in range(r + 1):
-            h[r * n_state : (r + 1) * n_state, c * n_input : (c + 1) * n_input] = blocks[r - c]
+    for c in range(n_tau):
+        h[c * n_state :, c * n_input : (c + 1) * n_input] = column[: (n_tau - c) * n_state]
     return PredictionMatrices(G=g, H=h, n_tau=n_tau, n_state=n_state, n_input=n_input)
 
 
@@ -148,11 +151,15 @@ def control_step(
     ``a`` is this step's state matrix and ``b`` the network's input matrix;
     both are held fixed across the horizon. Returns the first block of the
     optimal stacked sequence together with solve diagnostics. If the
-    requested demand is infeasible for the current state, the demand is
-    relaxed to the largest feasible value found by bisection (8 rounds); if
-    not even zero demand is feasible the returned flows are zero and the
-    diagnostics hold the infeasible first solve. The program is built once;
-    a demand probe changes only the right-hand side of its equality rows.
+    requested demand is infeasible for the current state and
+    ``enforce_density_lower_bound`` is set, the demand is relaxed to the
+    largest feasible value found by bisection (8 rounds). If not even zero
+    demand is feasible, the returned flows are zero and the diagnostics hold
+    the infeasible first solve. Without the lower bound that is the only
+    outcome of an infeasible demand, and ``fallback_used`` is always False:
+    the outlet columns of A^k B are <= 0, so any demand is feasible whenever
+    zero flows are. The program is built once; a demand probe changes only
+    the right-hand side of its equality rows.
     """
     pm = build_prediction(a, b, config.n_tau)
     problem = build_qp(pm, state, config)
@@ -168,7 +175,8 @@ def control_step(
     sol = solve_qp(problem, initial_point=hint(config.d0))
     d0_applied, fallback = config.d0, False
     if sol.status is SolveStatus.INFEASIBLE:
-        zero_sol = solve_with_demand(0.0)
+        # without the lower bound, zero demand is infeasible too (docstring)
+        zero_sol = solve_with_demand(0.0) if config.enforce_density_lower_bound else sol
         if zero_sol.status is not SolveStatus.OPTIMAL:
             return np.zeros(pm.n_input), ControlDiagnostics(sol, 0.0, False)
         fallback = True

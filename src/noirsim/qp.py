@@ -9,8 +9,10 @@ Solves problems of the form
 with H symmetric positive definite, using a primal active-set method.
 Iterates stay primal feasible, so capacity-style constraints hold at every
 intermediate point. A solution reported optimal carries KKT residuals at or
-below ``_TOL``; infeasible problems come back with a certificate naming a set
-of unsatisfiable rows.
+below ``_TOL``. ``QpProblem`` rejects linearly dependent equality rows (the
+standard assumption of equality-constrained and active-set QP), so the
+equalities are always consistent; an infeasible problem comes back with a
+certificate naming a set of unsatisfiable inequality rows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 from scipy.optimize import linprog
 
@@ -68,8 +69,9 @@ class QpProblem:
 
     Construction normalizes and checks the input once: an absent constraint
     block becomes empty and a 1-D block one row; a float array already in
-    shape is kept, not copied. Mismatched shapes, or a hessian that is not
-    symmetric positive definite, raise ``ValueError``.
+    shape is kept, not copied. Mismatched shapes, a hessian that is not
+    symmetric positive definite, or linearly dependent equality rows raise
+    ``ValueError``.
     """
 
     hessian: np.ndarray
@@ -101,6 +103,9 @@ class QpProblem:
             raise ValueError("equality system dimensions are inconsistent")
         if self.ineq_matrix.shape[1] != n or self.ineq_matrix.shape[0] != self.ineq_rhs.size:
             raise ValueError("inequality system dimensions are inconsistent")
+        m_eq = self.eq_matrix.shape[0]
+        if m_eq and np.linalg.matrix_rank(self.eq_matrix) < m_eq:
+            raise ValueError("equality rows must be linearly independent")
         try:
             np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
@@ -128,7 +133,6 @@ class QpSolution:
     ineq_duals: np.ndarray | None = None
     n_iterations: int = 0
     active_set: tuple[int, ...] = ()
-    infeasible_eq_rows: tuple[int, ...] = ()
     infeasible_ineq_rows: tuple[int, ...] = ()
 
 
@@ -166,18 +170,6 @@ def kkt_residuals(
         complementarity=float(np.abs(lam * slack).max(initial=0.0)),
         dual_feasibility=float(np.maximum(-lam, 0.0).max(initial=0.0)),
     )
-
-
-def _independent_rows(a: np.ndarray) -> list[int]:
-    """Indices of a maximal linearly independent subset of rows, smallest first."""
-    if a.shape[0] == 0:
-        return []
-    _, r, piv = scipy.linalg.qr(a.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        return []
-    rank = int(np.sum(diag > 1e-12 * diag[0]))
-    return sorted(int(i) for i in piv[:rank])
 
 
 def _solve_kkt(
@@ -253,19 +245,8 @@ def solve_qp(
     b_scale = 1.0 + float(np.abs(b).max(initial=0.0))
     h_scale = 1.0 + float(np.abs(h).max(initial=0.0))
 
-    # Consistency and an independent basis of the equality rows.
-    if m_eq:
-        u_eq, *_ = np.linalg.lstsq(a, b, rcond=None)
-        resid = np.abs(a @ u_eq - b)
-        if resid.max(initial=0.0) > _TOL * b_scale:
-            bad = tuple(int(i) for i in np.flatnonzero(resid > _TOL * b_scale))
-            return QpSolution(SolveStatus.INFEASIBLE, infeasible_eq_rows=bad or tuple(range(m_eq)))
-        keep = _independent_rows(a)
-    else:
-        u_eq = np.zeros(n)
-        keep = []
-    a_keep = a[keep] if keep else np.zeros((0, n))
-    b_keep = b[keep] if keep else np.zeros(0)
+    # QpProblem guarantees independent equality rows, so they are consistent.
+    u_eq = np.linalg.lstsq(a, b, rcond=None)[0] if m_eq else np.zeros(n)
 
     def is_feasible(u: np.ndarray) -> bool:
         if m_eq and float(np.abs(a @ u - b).max()) > _TOL * b_scale:
@@ -288,22 +269,20 @@ def solve_qp(
 
     working: list[int] = []  # active inequality rows, kept sorted
     iterations = 0
-    mu = np.zeros(len(keep))
+    mu = np.zeros(m_eq)
     converged = False
 
     while iterations < max_iter:
         iterations += 1
         grad = hessian @ u + c
-        g_w = g[working] if working else np.zeros((0, n))
-        c_rows = np.vstack([a_keep, g_w])
-        rhs_bottom = np.concatenate(
-            [b_keep - a_keep @ u if keep else np.zeros(0), h[working] - g_w @ u]
-        )
+        g_w = g[working]
+        c_rows = np.vstack([a, g_w])
+        rhs_bottom = np.concatenate([b - a @ u, h[working] - g_w @ u])
         p, mu = _solve_kkt(hessian, c_rows, -grad, rhs_bottom)
         step_ref = 1.0 + float(np.abs(u).max(initial=0.0))
 
         if float(np.abs(p).max(initial=0.0)) <= _TOL * step_ref:
-            lam_w = mu[len(keep) :]
+            lam_w = mu[m_eq:]
             if lam_w.size == 0 or float(lam_w.min()) >= -_TOL:
                 u = u + p
                 converged = True
@@ -319,8 +298,7 @@ def solve_qp(
             direction = g @ p
             slack_now = h - g @ u
             mask = np.ones(m_ineq, dtype=bool)
-            if working:
-                mask[working] = False
+            mask[working] = False
             mask &= direction > 1e-12
             cand_rows = np.flatnonzero(mask)
             if cand_rows.size:
@@ -335,12 +313,10 @@ def solve_qp(
 
     # The multipliers belong to the working set only when the last KKT solve
     # used it; an iteration-limit exit may follow a change to the set.
-    nu_full = np.zeros(m_eq)
-    if keep:
-        nu_full[keep] = mu[: len(keep)]
+    nu_full = mu[:m_eq]
     lam_full = np.zeros(m_ineq)
-    if working and mu.size == len(keep) + len(working):
-        lam_full[working] = np.maximum(mu[len(keep) :], 0.0)
+    if mu.size == m_eq + len(working):
+        lam_full[working] = np.maximum(mu[m_eq:], 0.0)
     kkt = kkt_residuals(problem, u, nu_full, lam_full)
     status = SolveStatus.OPTIMAL if converged and kkt.within(_TOL) else SolveStatus.MAX_ITERATIONS
     return QpSolution(

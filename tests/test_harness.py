@@ -223,6 +223,14 @@ class TestEmitReport:
         for key in p1:
             assert p1[key].read_bytes() == p2[key].read_bytes()
 
+    def test_integer_real_field_reports_as_float(self, tmp_path):
+        # the config echo says "d0": 100.0 whichever type the caller passed
+        g = generate_grid_noir(2, 2, 1, 1, seed=0)
+        p1 = emit_report(run_simulation(g, SimConfig(steps=2, d0=4)), tmp_path / "int")
+        p2 = emit_report(run_simulation(g, SimConfig(steps=2, d0=4.0)), tmp_path / "float")
+        for key in p1:
+            assert p1[key].read_bytes() == p2[key].read_bytes()
+
 
 class TestSimConfig:
     def test_defaults_match_experiment(self):

@@ -233,8 +233,19 @@ class TestControlStep:
             assert probe.ineq_matrix is built[0].ineq_matrix
             assert probe.ineq_rhs is built[0].ineq_rhs
 
-    def test_totally_infeasible_reports_zero_flow(self):
-        # state already above capacity: no boundary flow can fix it
+    def test_totally_infeasible_reports_zero_flow(self, monkeypatch):
+        # state already above capacity: no boundary flow can fix it. Without
+        # the lower bound zero demand cannot be feasible when d0 is not, so
+        # the step spends one phase-one LP and no zero-demand probe
+        import noirsim.qp as qp
+
+        calls, linprog = [], qp.linprog
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(kwargs)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(qp, "linprog", counting_linprog)
         a, b = chain_ab(p_values=(0.0, 0.0))
         state = TrafficState(np.array([10.0, 10.0]))
         cfg = MpcConfig(d0=5.0, x_max=np.array([2.0, 2.0]), n_tau=1)
@@ -243,6 +254,7 @@ class TestControlStep:
         assert not diag.fallback_used
         assert diag.solution.infeasible_ineq_rows  # the certificate reaches the caller
         assert np.array_equal(s, np.zeros(2))
+        assert len(calls) == 1
 
     def test_lower_bound_keeps_outlet_feeder_nonnegative(self):
         a, b = chain_ab(p_values=(0.5, 0.5))

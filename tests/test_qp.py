@@ -36,13 +36,13 @@ class TestSolve:
         assert sol.status is SolveStatus.INFEASIBLE
         assert sol.infeasible_ineq_rows  # certificate names violated rows
 
-    def test_contradictory_equalities_infeasible(self):
-        problem = QpProblem(
-            np.eye(1), np.zeros(1), [[1.0], [1.0]], [0.0, 1.0]
-        )
-        sol = solve_qp(problem)
-        assert sol.status is SolveStatus.INFEASIBLE
-        assert sol.infeasible_eq_rows
+    def test_dependent_equalities_rejected(self):
+        # contradictory (u = 0 and u = 1) and duplicated (u1 + u2 = 100 twice)
+        # rows are both dependent, so neither program can be constructed
+        for eq, rhs in (([[1.0], [1.0]], [0.0, 1.0]), ([[1.0, 1.0], [1.0, 1.0]], [100.0, 100.0])):
+            n = len(eq[0])
+            with pytest.raises(ValueError, match="linearly independent"):
+                QpProblem(np.eye(n), np.zeros(n), eq, rhs)
 
     def test_unconstrained(self):
         problem = QpProblem(2.0 * np.eye(2), np.array([-2.0, -4.0]))

@@ -1,9 +1,15 @@
 """Receding-horizon boundary-flow controller.
 
-Each step builds a finite-horizon prediction of the interior densities from
-the current state matrix (held fixed across the horizon), stacks the cost
-and feasibility constraints into a quadratic program, solves it, and applies
-only the first step of the optimal boundary-flow sequence.
+Each step predicts the interior densities over a finite horizon from the
+current state matrix (held fixed across the horizon) and applies only the
+first step of the optimal boundary-flow sequence. The cost is half the
+squared norm of the flows, so under the per-step budget alone the optimum
+is the even split ``d0 / n_input`` at every step. A step first rolls that
+split forward with ``n_tau`` mat-vecs; when no predicted density breaks its
+capacity (or, under the lower bound, goes negative) the split is the exact
+optimum and the step returns it with its closed-form certificate. Only
+otherwise does it stack the cost and feasibility constraints into a
+quadratic program and solve it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 
 # The assemble_* names are unused here; benchmarks/tracing.py still wraps them.
 from .dynamics import TrafficState, assemble_input_matrix, assemble_state_matrix  # noqa: F401
-from .qp import QpProblem, QpSolution, SolveStatus, solve_qp
+from .qp import KktResiduals, QpProblem, QpSolution, SolveStatus, solve_qp
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,61 @@ def build_qp(pm: PredictionMatrices, state: TrafficState, config: MpcConfig) -> 
     )
 
 
+def _even_split(
+    state: TrafficState, a: np.ndarray, b: np.ndarray, config: MpcConfig
+) -> QpSolution | None:
+    """The horizon program's closed-form solution when the even split breaks
+    none of its rows, else None.
+
+    With ``lam = 0`` and ``nu_k = -d0 / n_input`` the split meets
+    stationarity and the per-step sums; ``U >= 0`` holds because ``d0 > 0``,
+    and the densities rolled forward here cover the capacity and lower-bound
+    rows. Sizes that do not fit return None, so that the full path reports
+    them.
+    """
+    x = state.densities
+    n_state = x.size
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != (n_state, n_state) or b.ndim != 2 or b.shape[0] != n_state:
+        return None
+    n_input = b.shape[1]
+    if n_input == 0 or config.x_max.size != n_state:
+        return None
+    s_bar = np.full(n_input, config.d0 / n_input)
+    inflow = b @ s_bar
+    x_hat = x
+    for _ in range(config.n_tau):
+        x_hat = a @ x_hat + inflow
+        # written so that a NaN density falls through as well
+        if not (x_hat <= config.x_max).all():
+            return None
+        if config.enforce_density_lower_bound and not (x_hat >= 0.0).all():
+            return None
+
+    u = np.tile(s_bar, config.n_tau)
+    nu = np.full(config.n_tau, -s_bar[0])
+    bound_rows = config.n_tau * n_state * (2 if config.enforce_density_lower_bound else 1)
+    # lam = 0 and every row holds, so the inequality residuals are zero
+    kkt = KktResiduals(
+        stationarity=float(np.abs(u + np.repeat(nu, n_input)).max()),
+        primal_equality=float(np.abs(u.reshape(-1, n_input).sum(axis=1) - config.d0).max()),
+        primal_inequality=0.0,
+        complementarity=0.0,
+        dual_feasibility=0.0,
+    )
+    return QpSolution(
+        status=SolveStatus.OPTIMAL,
+        u_star=u,
+        cost=float(0.5 * u @ u),
+        kkt=kkt,
+        eq_duals=nu,
+        ineq_duals=np.zeros(u.size + bound_rows),
+        n_iterations=0,
+        active_set=(),
+    )
+
+
 @dataclass(frozen=True)
 class ControlDiagnostics:
     """The solve whose flows were applied, the demand they meet, and whether
@@ -150,8 +211,19 @@ def control_step(
 
     ``a`` is this step's state matrix and ``b`` the network's input matrix;
     both are held fixed across the horizon. Returns the first block of the
-    optimal stacked sequence together with solve diagnostics. If the
-    requested demand is infeasible for the current state and
+    optimal stacked sequence together with solve diagnostics.
+
+    The even split ``d0 / n_input`` is tried first: ``n_tau`` mat-vecs roll
+    it over the horizon, and if every predicted density stays at or below
+    capacity (and, under the lower bound, at or above zero) it is returned
+    without building the prediction matrices or the program. It is then the
+    exact optimum, not an approximation: it minimises the cost under the
+    per-step sums alone and breaks no inequality row, so ``diag.solution``
+    is optimal with 0 iterations, an empty active set, equality multipliers
+    ``-d0 / n_input`` and zero inequality multipliers. Any violation, however
+    small, falls through to the program below.
+
+    If the requested demand is infeasible for the current state and
     ``enforce_density_lower_bound`` is set, the demand is relaxed to the
     largest feasible value found by bisection (8 rounds). If not even zero
     demand is feasible, the returned flows are zero and the diagnostics hold
@@ -161,6 +233,10 @@ def control_step(
     zero flows are. The program is built once; a demand probe changes only
     the right-hand side of its equality rows.
     """
+    sol = _even_split(state, a, b, config)
+    if sol is not None:
+        return sol.u_star[: np.shape(b)[1]].copy(), ControlDiagnostics(sol, config.d0, False)
+
     pm = build_prediction(a, b, config.n_tau)
     problem = build_qp(pm, state, config)
 

@@ -8,8 +8,9 @@ from noirsim.dynamics import (
     sample_matrices,
     step,
 )
+from noirsim.harness import SimConfig, philadelphia_noir
 from noirsim.mpc import MpcConfig, build_prediction, build_qp, control_step
-from noirsim.qp import SolveStatus, solve_qp
+from noirsim.qp import SolveStatus, kkt_residuals, solve_qp
 
 from helpers import chain_graph, iterate_prediction, tiny_graph
 
@@ -147,8 +148,6 @@ class TestControlStep:
 
     def test_city_scale_even_split(self):
         # 42 boundary roads at demand 100: every entry is 100/42
-        from noirsim.harness import philadelphia_noir
-
         g = philadelphia_noir(seed=0)
         rng = np.random.default_rng(0)
         state = TrafficState(np.zeros(g.n_interior))
@@ -269,3 +268,100 @@ class TestControlStep:
         assert diag.solution.status is SolveStatus.OPTIMAL
         nxt = step(state, a, b, s)
         assert (nxt.densities >= -1e-8).all()
+
+
+class TestEvenSplitFastPath:
+    """The even split is returned without the dense model only when it breaks
+    no row of the program that ``build_qp`` would build."""
+
+    @pytest.mark.parametrize("lower_bound", [False, True])
+    def test_certificate_holds_on_the_full_program(self, lower_bound):
+        g = philadelphia_noir(seed=1)
+        b = assemble_input_matrix(g)
+        cfg = MpcConfig(
+            d0=100.0,
+            x_max=g.capacity_vector(),
+            n_tau=5,
+            enforce_density_lower_bound=lower_bound,
+        )
+        rng = np.random.default_rng(1)
+        state = TrafficState(rng.uniform(0.12 * cfg.x_max, 0.2 * cfg.x_max))
+        fast = 0
+        for _ in range(8):
+            a = assemble_state_matrix(*sample_matrices(rng, g, state))
+            s, diag = control_step(state, a, b, cfg)
+            sol = diag.solution
+            if sol.n_iterations:  # the even split broke a row; the solver ran
+                continue
+            fast += 1
+            assert sol.status is SolveStatus.OPTIMAL and sol.active_set == ()
+            problem = build_qp(build_prediction(a, b, cfg.n_tau), state, cfg)
+            kkt = kkt_residuals(problem, sol.u_star, sol.eq_duals, sol.ineq_duals)
+            assert kkt.worst() <= 1e-8
+            hint = np.full(problem.n_variables, cfg.d0 / b.shape[1])
+            reference = solve_qp(problem, initial_point=hint)
+            assert np.abs(s - reference.u_star[: b.shape[1]]).max() <= 1e-12
+        # 8 of the 8 draws without the bound, 4 with it
+        assert fast >= 4
+
+    @pytest.mark.parametrize(
+        "x_max, lower_bound",
+        [
+            # road 4 fills to 5, 7.5, 8.75, 9.375: only the last step exceeds 9
+            ((100.0, 9.0), False),
+            # road 3 drains to 13, 4, 0.75, -0.25: only the last step is negative
+            ((100.0, 100.0), True),
+        ],
+    )
+    def test_late_violation_falls_through_to_the_program(self, monkeypatch, x_max, lower_bound):
+        import noirsim.mpc as mpc
+
+        a, b = chain_ab()
+        state = TrafficState(np.array([36.0, 0.0]))
+        cfg = MpcConfig(
+            d0=10.0, x_max=np.array(x_max), n_tau=4, enforce_density_lower_bound=lower_bound
+        )
+        problem = build_qp(build_prediction(a, b, cfg.n_tau), state, cfg)
+        expected = solve_qp(problem, initial_point=np.full(problem.n_variables, 5.0))
+        assert expected.status is SolveStatus.OPTIMAL and expected.active_set
+
+        built = []
+
+        def counting_prediction(*args):
+            built.append(build_prediction(*args))
+            return built[-1]
+
+        monkeypatch.setattr(mpc, "build_prediction", counting_prediction)
+        s, diag = control_step(state, a, b, cfg)
+        assert len(built) == 1
+        assert np.array_equal(s, expected.u_star[:2])
+        assert diag.solution.active_set == expected.active_set
+
+    def test_size_mismatch_is_reported_by_the_program(self):
+        # one capacity for two roads would broadcast in the rolled check
+        a, b = chain_ab()
+        cfg = MpcConfig(d0=10.0, x_max=np.array([1e6]), n_tau=2)
+        with pytest.raises(ValueError, match="capacity"):
+            control_step(TrafficState(np.zeros(2)), a, b, cfg)
+
+    def test_city_preset_never_builds_the_dense_model(self, monkeypatch):
+        import noirsim.harness as harness
+        import noirsim.mpc as mpc
+
+        def refuse(*args):
+            raise AssertionError("build_prediction was called")
+
+        solutions = []
+
+        def recording_control(*args):
+            flows, diag = control_step(*args)
+            solutions.append(diag.solution)
+            return flows, diag
+
+        monkeypatch.setattr(mpc, "build_prediction", refuse)
+        monkeypatch.setattr(harness, "control_step", recording_control)
+        harness.run_simulation(philadelphia_noir(seed=1), SimConfig(steps=20, seed=1, d0=100.0))
+        assert len(solutions) == 20
+        for sol in solutions:
+            assert sol.status is SolveStatus.OPTIMAL
+            assert sol.n_iterations == 0

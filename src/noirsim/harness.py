@@ -161,12 +161,10 @@ def generate_grid_noir(
 
     # one-way street segments between adjacent intersections
     segments: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    ring_out: dict[tuple[int, int], int] = {}
     ring_in: dict[tuple[int, int], int] = {}
     for idx in range(n_perimeter):
         tail = perimeter[idx]
         head = perimeter[(idx + 1) % n_perimeter]
-        ring_out[tail] = len(segments)
         ring_in[head] = len(segments)
         segments.append((tail, head))
     for r in range(1, rows - 1):  # inner horizontal streets

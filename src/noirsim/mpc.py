@@ -240,15 +240,11 @@ def control_step(
     pm = build_prediction(a, b, config.n_tau)
     problem = build_qp(pm, state, config)
 
-    def hint(d0: float) -> np.ndarray:
-        return np.full(problem.n_variables, d0 / pm.n_input)
-
     def solve_with_demand(d0: float) -> QpSolution:
-        probe = replace(problem, eq_rhs=np.full(pm.n_tau, float(d0)))
-        return solve_qp(probe, initial_point=hint(d0))
+        return solve_qp(replace(problem, eq_rhs=np.full(pm.n_tau, float(d0))))
 
     # build_qp already asks for d0 at every horizon step
-    sol = solve_qp(problem, initial_point=hint(config.d0))
+    sol = solve_qp(problem)
     d0_applied, fallback = config.d0, False
     if sol.status is SolveStatus.INFEASIBLE:
         # without the lower bound, zero demand is infeasible too (docstring)

@@ -11,8 +11,10 @@ Iterates stay primal feasible, so capacity-style constraints hold at every
 intermediate point. A solution reported optimal carries KKT residuals at or
 below ``_TOL``. ``QpProblem`` rejects linearly dependent equality rows (the
 standard assumption of equality-constrained and active-set QP), so the
-equalities are always consistent; an infeasible problem comes back with a
-certificate naming a set of unsatisfiable inequality rows.
+equalities are always consistent. One test decides feasibility: every row
+within ``_TOL`` of its right-hand side's scale. When no start passes it, the
+problem comes back infeasible with a certificate: the inequality rows still
+violated beyond that tolerance at the point of least worst violation.
 """
 
 from __future__ import annotations
@@ -178,8 +180,6 @@ def _solve_kkt(
     """Solve the bordered system [[H, C'], [C, 0]] [p; mu] = [rhs_top; rhs_bottom]."""
     n = hessian.shape[0]
     m = c_rows.shape[0]
-    if m == 0:
-        return np.linalg.solve(hessian, rhs_top), np.zeros(0)
     kkt = np.block([[hessian, c_rows.T], [c_rows, np.zeros((m, m))]])
     rhs = np.concatenate([rhs_top, rhs_bottom])
     try:
@@ -191,35 +191,26 @@ def _solve_kkt(
 
 def _phase_one(
     a: np.ndarray, b: np.ndarray, g: np.ndarray, h: np.ndarray, n: int
-) -> tuple[np.ndarray | None, tuple[int, ...]]:
-    """Find a feasible point by minimizing total inequality violation (LP).
+) -> np.ndarray | None:
+    """The point of least worst inequality violation, or None when the LP fails.
 
-    Returns (point, ()) on success, or (None, rows) where ``rows`` indexes
-    inequality rows that remain violated at the minimum-violation point.
+    Solves ``min s`` subject to ``G u - s <= h``, ``A u = b`` and ``s >= 0``
+    over the ``n + 1`` columns ``(u, s)``.
     """
     m_e, m_i = a.shape[0], g.shape[0]
-    cost = np.concatenate([np.zeros(n), np.ones(m_i)])
     # Sparse blocks: HiGHS takes a sparse matrix, so dense ones would only be
     # built here to be converted back inside linprog.
-    a_ub = scipy.sparse.hstack(
-        [scipy.sparse.csr_matrix(g), -scipy.sparse.identity(m_i, format="csr")], format="csr"
+    sparse = scipy.sparse.csr_matrix
+    res = linprog(
+        np.append(np.zeros(n), 1.0),
+        A_ub=scipy.sparse.hstack([sparse(g), sparse(np.full((m_i, 1), -1.0))], format="csr"),
+        b_ub=h,
+        A_eq=scipy.sparse.hstack([sparse(a), sparse((m_e, 1))], format="csr"),
+        b_eq=b,
+        bounds=[(None, None)] * n + [(0.0, None)],
+        method="highs",
     )
-    bounds = [(None, None)] * n + [(0.0, None)] * m_i
-    kwargs = {}
-    if m_e:
-        kwargs["A_eq"] = scipy.sparse.hstack(
-            [scipy.sparse.csr_matrix(a), scipy.sparse.csr_matrix((m_e, m_i))], format="csr"
-        )
-        kwargs["b_eq"] = b
-    res = linprog(cost, A_ub=a_ub, b_ub=h, bounds=bounds, method="highs", **kwargs)
-    if not res.success:
-        return None, tuple(range(m_i))
-    t = res.x[n:]
-    h_scale = 1.0 + float(np.abs(h).max(initial=0.0))
-    if t.sum() > _TOL * h_scale:
-        bad = tuple(int(i) for i in np.flatnonzero(t > _TOL * h_scale))
-        return None, bad or tuple(range(m_i))
-    return res.x[:n], ()
+    return res.x[:n] if res.success else None
 
 
 def solve_qp(
@@ -229,8 +220,11 @@ def solve_qp(
 ) -> QpSolution:
     """Solve a strictly convex QP with a primal active-set method.
 
-    ``initial_point`` is a hint only: it is used when it is feasible and
-    otherwise ignored in favor of a phase-one search. Degenerate choices
+    The method starts from the first feasible one of ``initial_point`` (a
+    hint, ignored when infeasible), the least-norm equality point and the
+    phase-one point of least worst violation. When none is feasible the
+    problem is infeasible, and the rows that the phase-one point violates
+    are its certificate (every row if the LP failed). Degenerate choices
     (which constraint to activate or drop) are broken by smallest row
     index, so repeated solves are deterministic.
     """
@@ -248,12 +242,13 @@ def solve_qp(
     # QpProblem guarantees independent equality rows, so they are consistent.
     u_eq = np.linalg.lstsq(a, b, rcond=None)[0] if m_eq else np.zeros(n)
 
+    def violated_rows(u: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(g @ u - h > _TOL * h_scale)
+
     def is_feasible(u: np.ndarray) -> bool:
         if m_eq and float(np.abs(a @ u - b).max()) > _TOL * b_scale:
             return False
-        if m_ineq and float((g @ u - h).max()) > _TOL * h_scale:
-            return False
-        return True
+        return violated_rows(u).size == 0
 
     u = None
     if initial_point is not None:
@@ -263,9 +258,10 @@ def solve_qp(
     if u is None and is_feasible(u_eq):
         u = u_eq.copy()
     if u is None:
-        u, bad_rows = _phase_one(a, b, g, h, n)
-        if u is None:
-            return QpSolution(SolveStatus.INFEASIBLE, infeasible_ineq_rows=bad_rows)
+        u = _phase_one(a, b, g, h, n)
+        if u is None or not is_feasible(u):
+            bad = range(m_ineq) if u is None else violated_rows(u)
+            return QpSolution(SolveStatus.INFEASIBLE, infeasible_ineq_rows=tuple(map(int, bad)))
 
     working: list[int] = []  # active inequality rows, kept sorted
     iterations = 0

@@ -251,7 +251,9 @@ class TestControlStep:
         s, diag = control_step(state, a, b, cfg)
         assert diag.solution.status is SolveStatus.INFEASIBLE
         assert not diag.fallback_used
-        assert diag.solution.infeasible_ineq_rows  # the certificate reaches the caller
+        # the certificate reaches the caller and names road 4's capacity row
+        # (row 3: two flow-sign rows, then the capacities of roads 3 and 4)
+        assert 3 in diag.solution.infeasible_ineq_rows
         assert np.array_equal(s, np.zeros(2))
         assert len(calls) == 1
 

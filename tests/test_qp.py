@@ -34,7 +34,9 @@ class TestSolve:
     def test_bounds_below_budget_infeasible(self):
         sol = solve_qp(budget_problem(np.eye(2), np.array([30.0, 40.0])))
         assert sol.status is SolveStatus.INFEASIBLE
-        assert sol.infeasible_ineq_rows  # certificate names violated rows
+        # the point of least worst violation, (45, 55), breaks both bounds by
+        # 15 and satisfies u >= 0, so the certificate names the two bound rows
+        assert sol.infeasible_ineq_rows == (2, 3)
 
     def test_dependent_equalities_rejected(self):
         # contradictory (u = 0 and u = 1) and duplicated (u1 + u2 = 100 twice)
@@ -71,7 +73,8 @@ class TestSolve:
 
     def test_phase_one_lp_is_sparse(self, monkeypatch):
         # the least-squares start (50, 50) breaks u1 <= 30, so phase one runs;
-        # its LP gets [G, -I] as a sparse matrix, never a dense one
+        # its LP gets [G, -1], one column for the worst violation, as a sparse
+        # matrix, never a dense one
         import scipy.sparse
 
         import noirsim.qp as qp
@@ -90,6 +93,7 @@ class TestSolve:
         a_ub = calls[0]["A_ub"]
         assert scipy.sparse.issparse(a_ub)
         m_ineq = problem.ineq_matrix.shape[0]
+        assert a_ub.shape == (m_ineq, problem.n_variables + 1)
         assert a_ub.nnz == np.count_nonzero(problem.ineq_matrix) + m_ineq
         assert scipy.sparse.issparse(calls[0]["A_eq"])
 

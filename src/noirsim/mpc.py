@@ -4,12 +4,16 @@ Each step predicts the interior densities over a finite horizon from the
 current state matrix (held fixed across the horizon) and applies only the
 first step of the optimal boundary-flow sequence. The cost is half the
 squared norm of the flows, so under the per-step budget alone the optimum
-is the even split ``d0 / n_input`` at every step. A step first rolls that
-split forward with ``n_tau`` mat-vecs; when no predicted density breaks its
-capacity (or, under the lower bound, goes negative) the split is the exact
-optimum and the step returns it with its closed-form certificate. Only
-otherwise does it stack the cost and feasibility constraints into a
-quadratic program and solve it.
+is the even split ``d0 / n_input`` at every step. A step tries closed-form
+answers at both ends before the program. It first rolls that split forward
+with ``n_tau`` mat-vecs; when no predicted density breaks its capacity (or,
+under the lower bound, goes negative) the split is the exact optimum and the
+step returns it with its closed-form certificate. Without the lower bound it
+then rolls the least density that any admissible flow leaves; when that
+floor exceeds a capacity beyond the solver's feasibility tolerance, no flow
+is feasible and the step returns zero flows with those capacity rows as its
+certificate. Only otherwise does it stack the cost and feasibility
+constraints into a quadratic program and solve it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 # The assemble_* names are unused here; benchmarks/tracing.py still wraps them.
 from .dynamics import TrafficState, assemble_input_matrix, assemble_state_matrix  # noqa: F401
-from .qp import KktResiduals, QpProblem, QpSolution, SolveStatus, solve_qp
+from .qp import KktResiduals, QpProblem, QpSolution, SolveStatus, feasibility_limit, solve_qp
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,7 @@ def build_qp(pm: PredictionMatrices, state: TrafficState, config: MpcConfig) -> 
 
 
 def _even_split(
-    state: TrafficState, a: np.ndarray, b: np.ndarray, config: MpcConfig
+    x: np.ndarray, a: np.ndarray, b: np.ndarray, config: MpcConfig
 ) -> QpSolution | None:
     """The horizon program's closed-form solution when the even split breaks
     none of its rows, else None.
@@ -145,18 +149,9 @@ def _even_split(
     With ``lam = 0`` and ``nu_k = -d0 / n_input`` the split meets
     stationarity and the per-step sums; ``U >= 0`` holds because ``d0 > 0``,
     and the densities rolled forward here cover the capacity and lower-bound
-    rows. Sizes that do not fit return None, so that the full path reports
-    them.
+    rows.
     """
-    x = state.densities
-    n_state = x.size
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (n_state, n_state) or b.ndim != 2 or b.shape[0] != n_state:
-        return None
-    n_input = b.shape[1]
-    if n_input == 0 or config.x_max.size != n_state:
-        return None
+    n_state, n_input = b.shape
     s_bar = np.full(n_input, config.d0 / n_input)
     inflow = b @ s_bar
     x_hat = x
@@ -191,6 +186,84 @@ def _even_split(
     )
 
 
+def _horizon_reach(
+    x: np.ndarray, a: np.ndarray, b: np.ndarray, n_tau: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One roll over the horizon: ``n_tau`` mat-vecs and ``n_tau - 1``
+    products ``A @ (A^m B)``.
+
+    Row ``m`` of each result is: the free response ``A^(m+1) x``; the least
+    entry of each row of ``A^m B``, ``min_i (A^m B)[r, i]``; and that row's
+    spread above it, ``sum_i ((A^m B)[r, i] - min_i (A^m B)[r, i])``.
+    """
+    free = np.empty((n_tau, x.size))
+    low = np.empty((n_tau, x.size))
+    spread = np.empty((n_tau, x.size))
+    reach, x_hat = b, x
+    for m in range(n_tau):
+        if m:
+            reach = a @ reach
+        x_hat = free[m] = a @ x_hat
+        low[m] = reach.min(axis=1)
+        spread[m] = reach.sum(axis=1) - b.shape[1] * low[m]
+    return free, low, spread
+
+
+def _blocked_capacity(
+    x: np.ndarray, a: np.ndarray, b: np.ndarray, config: MpcConfig
+) -> QpSolution | None:
+    """The horizon program's infeasibility certificate when some capacity
+    row fails ``solve_qp``'s feasibility test at every point, else None.
+
+    ``U >= 0`` and the per-step sums ``d0`` make each step's flows a scaled
+    simplex, so the least density of road r at horizon step j (1-based) is
+    ``(A^j x)[r] + d0 * sum_{m<j} low[m, r]``, the row-activity bound of LP
+    presolve. The feasibility test admits flows down to ``-h_limit`` and
+    per-step sums within ``b_limit`` of ``d0``; over those points step m
+    lowers the floor by a further ``b_limit * |low[m, r]| + h_limit *
+    spread[m, r]``, and no more. A row whose floor still exceeds its
+    capacity by more than ``h_limit`` is blocked: no start passes the test,
+    so ``solve_qp`` would return INFEASIBLE as well. The certificate lists
+    the blocked rows in the program's row order,
+    ``n_tau * n_input + (j - 1) * n_state + r``.
+    """
+    free, low, spread = _horizon_reach(x, a, b, config.n_tau)
+    h_limit = feasibility_limit(config.x_max - free)
+    b_limit = feasibility_limit(np.array([config.d0]))
+    per_step = config.d0 * low - b_limit * np.abs(low) - h_limit * spread
+    floor = free + np.cumsum(per_step, axis=0)
+    # a NaN density makes h_limit NaN and every comparison False, so it
+    # falls through as well
+    blocked = np.flatnonzero(floor - config.x_max > h_limit)
+    if blocked.size == 0:
+        return None
+    rows = config.n_tau * b.shape[1] + blocked
+    return QpSolution(SolveStatus.INFEASIBLE, infeasible_ineq_rows=tuple(map(int, rows)))
+
+
+def _closed_form(
+    state: TrafficState, a: np.ndarray, b: np.ndarray, config: MpcConfig
+) -> QpSolution | None:
+    """The step's answer when one of the two closed forms settles it: the
+    even split when it breaks no row, or, without the lower bound, the
+    certificate of a capacity row that no admissible flow can meet. None
+    otherwise, and for sizes that do not fit, so that the program reports
+    those.
+    """
+    x = state.densities
+    n_state = x.size
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != (n_state, n_state) or b.ndim != 2 or b.shape[0] != n_state:
+        return None
+    if b.shape[1] == 0 or config.x_max.size != n_state:
+        return None
+    sol = _even_split(x, a, b, config)
+    if sol is None and not config.enforce_density_lower_bound:
+        sol = _blocked_capacity(x, a, b, config)
+    return sol
+
+
 @dataclass(frozen=True)
 class ControlDiagnostics:
     """The solve whose flows were applied, the demand they meet, and whether
@@ -213,15 +286,22 @@ def control_step(
     both are held fixed across the horizon. Returns the first block of the
     optimal stacked sequence together with solve diagnostics.
 
-    The even split ``d0 / n_input`` is tried first: ``n_tau`` mat-vecs roll
-    it over the horizon, and if every predicted density stays at or below
-    capacity (and, under the lower bound, at or above zero) it is returned
-    without building the prediction matrices or the program. It is then the
-    exact optimum, not an approximation: it minimises the cost under the
-    per-step sums alone and breaks no inequality row, so ``diag.solution``
-    is optimal with 0 iterations, an empty active set, equality multipliers
+    Closed-form answers at both ends are tried before the program. The even
+    split ``d0 / n_input`` comes first: ``n_tau`` mat-vecs roll it over the
+    horizon, and if every predicted density stays at or below capacity
+    (and, under the lower bound, at or above zero) it is returned without
+    building the prediction matrices or the program. It is then the exact
+    optimum, not an approximation: it minimises the cost under the per-step
+    sums alone and breaks no inequality row, so ``diag.solution`` is optimal
+    with 0 iterations, an empty active set, equality multipliers
     ``-d0 / n_input`` and zero inequality multipliers. Any violation, however
-    small, falls through to the program below.
+    small, falls through. Without the lower bound the step then rolls the
+    least density that any admissible flow leaves (``n_tau`` mat-vecs and
+    ``n_tau - 1`` products ``A @ (A^m B)``). When a floor exceeds its
+    capacity even over the points that the solver's feasibility test
+    admits, the returned flows are zero and ``diag.solution`` is infeasible,
+    with those capacity rows as its certificate; the program is neither
+    built nor solved.
 
     If the requested demand is infeasible for the current state and
     ``enforce_density_lower_bound`` is set, the demand is relaxed to the
@@ -233,9 +313,12 @@ def control_step(
     zero flows are. The program is built once; a demand probe changes only
     the right-hand side of its equality rows.
     """
-    sol = _even_split(state, a, b, config)
+    sol = _closed_form(state, a, b, config)
     if sol is not None:
-        return sol.u_star[: np.shape(b)[1]].copy(), ControlDiagnostics(sol, config.d0, False)
+        n_input = np.shape(b)[1]
+        if sol.status is SolveStatus.INFEASIBLE:
+            return np.zeros(n_input), ControlDiagnostics(sol, 0.0, False)
+        return sol.u_star[:n_input].copy(), ControlDiagnostics(sol, config.d0, False)
 
     pm = build_prediction(a, b, config.n_tau)
     problem = build_qp(pm, state, config)

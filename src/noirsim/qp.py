@@ -11,10 +11,11 @@ Iterates stay primal feasible, so capacity-style constraints hold at every
 intermediate point. A solution reported optimal carries KKT residuals at or
 below ``_TOL``. ``QpProblem`` rejects linearly dependent equality rows (the
 standard assumption of equality-constrained and active-set QP), so the
-equalities are always consistent. One test decides feasibility: every row
-within ``_TOL`` of its right-hand side's scale. When no start passes it, the
-problem comes back infeasible with a certificate: the inequality rows still
-violated beyond that tolerance at the point of least worst violation.
+equalities are always consistent. One test decides feasibility: no row
+violated by more than ``feasibility_limit`` of its block's right-hand side,
+``_TOL * (1 + max |rhs|)``. When no start passes it, the problem comes back
+infeasible with a certificate: the inequality rows still violated beyond
+that limit at the point of least worst violation.
 """
 
 from __future__ import annotations
@@ -174,6 +175,12 @@ def kkt_residuals(
     )
 
 
+def feasibility_limit(rhs: np.ndarray) -> float:
+    """The largest violation that a feasible point may have in a row of the
+    block whose right-hand side is ``rhs``: ``_TOL * (1 + max |rhs|)``."""
+    return _TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+
+
 def _solve_kkt(
     hessian: np.ndarray, c_rows: np.ndarray, rhs_top: np.ndarray, rhs_bottom: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -236,17 +243,17 @@ def solve_qp(
     if max_iter is None:
         max_iter = 10 * (n + m_eq + m_ineq)
 
-    b_scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    h_scale = 1.0 + float(np.abs(h).max(initial=0.0))
+    b_limit = feasibility_limit(b)
+    h_limit = feasibility_limit(h)
 
     # QpProblem guarantees independent equality rows, so they are consistent.
     u_eq = np.linalg.lstsq(a, b, rcond=None)[0] if m_eq else np.zeros(n)
 
     def violated_rows(u: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(g @ u - h > _TOL * h_scale)
+        return np.flatnonzero(g @ u - h > h_limit)
 
     def is_feasible(u: np.ndarray) -> bool:
-        if m_eq and float(np.abs(a @ u - b).max()) > _TOL * b_scale:
+        if m_eq and float(np.abs(a @ u - b).max()) > b_limit:
             return False
         return violated_rows(u).size == 0
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.optimize import linprog
 
 from noirsim.dynamics import (
     TrafficState,
@@ -9,8 +11,15 @@ from noirsim.dynamics import (
     step,
 )
 from noirsim.harness import SimConfig, philadelphia_noir
-from noirsim.mpc import MpcConfig, build_prediction, build_qp, control_step
-from noirsim.qp import SolveStatus, kkt_residuals, solve_qp
+from noirsim.mpc import (
+    MpcConfig,
+    _blocked_capacity,
+    _horizon_reach,
+    build_prediction,
+    build_qp,
+    control_step,
+)
+from noirsim.qp import SolveStatus, feasibility_limit, kkt_residuals, solve_qp
 
 from helpers import chain_graph, iterate_prediction, tiny_graph
 
@@ -233,9 +242,10 @@ class TestControlStep:
             assert probe.ineq_rhs is built[0].ineq_rhs
 
     def test_totally_infeasible_reports_zero_flow(self, monkeypatch):
-        # state already above capacity: no boundary flow can fix it. Without
-        # the lower bound zero demand cannot be feasible when d0 is not, so
-        # the step spends one phase-one LP and no zero-demand probe
+        # state already above capacity: no boundary flow can fix it. Against
+        # a capacity of 2, road 3 can shed at most d0 = 5 of its 10 vehicles
+        # and road 4 only fills, so the closed-form check blocks both
+        # capacity rows and the step runs no phase-one LP
         import noirsim.qp as qp
 
         calls, linprog = [], qp.linprog
@@ -251,11 +261,11 @@ class TestControlStep:
         s, diag = control_step(state, a, b, cfg)
         assert diag.solution.status is SolveStatus.INFEASIBLE
         assert not diag.fallback_used
-        # the certificate reaches the caller and names road 4's capacity row
-        # (row 3: two flow-sign rows, then the capacities of roads 3 and 4)
-        assert 3 in diag.solution.infeasible_ineq_rows
+        # the certificate reaches the caller and names both capacity rows
+        # (rows 2 and 3: two flow-sign rows, then the capacities of roads 3 and 4)
+        assert diag.solution.infeasible_ineq_rows == (2, 3)
         assert np.array_equal(s, np.zeros(2))
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_lower_bound_keeps_outlet_feeder_nonnegative(self):
         a, b = chain_ab(p_values=(0.5, 0.5))
@@ -367,3 +377,159 @@ class TestEvenSplitFastPath:
         for sol in solutions:
             assert sol.status is SolveStatus.OPTIMAL
             assert sol.n_iterations == 0
+
+
+def least_activity(h, rows, n_tau, d0):
+    """linprog's least value of each given row of ``h`` over ``U >= 0`` with
+    per-step sums ``d0``. The rows share one LP with a copy of U per row;
+    the copies are independent, so each is at its own row's minimum."""
+    k, n = len(rows), h.shape[1]
+    eq = np.kron(np.eye(n_tau), np.ones((1, n // n_tau)))
+    res = linprog(
+        h[rows].ravel(),
+        A_eq=scipy.sparse.kron(scipy.sparse.eye(k), eq, format="csr"),
+        b_eq=np.full(k * n_tau, d0),
+        bounds=(0.0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0
+    return (h[rows] * res.x.reshape(k, n)).sum(axis=1)
+
+
+class TestCapacityCertificate:
+    """Without the lower bound, a step with a capacity row that no admissible
+    flow can meet returns that row as its certificate, before the dense
+    model is built."""
+
+    def test_density_floor_matches_linprog(self):
+        a, b = chain_ab()
+        chain_cfg = MpcConfig(d0=10.0, x_max=np.full(2, 9.0), n_tau=4)
+        cases = [(a, b, np.array([36.0, 2.0]), chain_cfg, (0, 1))]
+        g = philadelphia_noir(seed=1)
+        b = assemble_input_matrix(g)
+        cfg = MpcConfig(d0=1000.0, x_max=g.capacity_vector(), n_tau=5)
+        rng = np.random.default_rng(1)
+        for draw in range(8):
+            x = rng.uniform(0.0, 0.5 * cfg.x_max)
+            a = assemble_state_matrix(*sample_matrices(rng, g, TrafficState(x)))
+            # draw k checks the rows k, k + 8, ...: together the draws cover every row
+            cases.append((a, b, x, cfg, (draw, 8)))
+        for a, b, x, cfg, pick in cases:
+            pm = build_prediction(a, b, cfg.n_tau)
+            rows = np.arange(pm.H.shape[0])[pick[0] :: pick[1]]
+            free_ref = pm.G @ x
+            scale = 1.0 + np.abs(np.tile(cfg.x_max, cfg.n_tau) - free_ref).max()
+            free, low, _ = _horizon_reach(x, a, b, cfg.n_tau)
+            floor = free + cfg.d0 * np.cumsum(low, axis=0)
+            assert np.abs(free.ravel() - free_ref).max() <= 1e-12 * scale
+            expected = free_ref[rows] + least_activity(pm.H, rows, cfg.n_tau, cfg.d0)
+            assert np.abs(floor.ravel()[rows] - expected).max() <= 1e-9 * scale
+
+    def test_certified_steps_are_infeasible_programs(self, monkeypatch):
+        import noirsim.harness as harness
+        import noirsim.mpc as mpc
+
+        built = []
+
+        def counting_prediction(*args):
+            built.append(args)
+            return build_prediction(*args)
+
+        verdicts = []
+
+        def checking_control(state, a, b, cfg):
+            before = len(built)
+            flows, diag = control_step(state, a, b, cfg)
+            full = solve_qp(build_qp(build_prediction(a, b, cfg.n_tau), state, cfg))
+            sol = diag.solution
+            if full.status is SolveStatus.INFEASIBLE:
+                # answered in closed form: no dense model, zero flows and
+                # a certificate of capacity rows
+                assert len(built) == before
+                assert sol.status is SolveStatus.INFEASIBLE and sol.infeasible_ineq_rows
+                assert min(sol.infeasible_ineq_rows) >= cfg.n_tau * b.shape[1]
+                assert np.array_equal(flows, np.zeros(b.shape[1]))
+            else:
+                assert sol.status is full.status
+            verdicts.append(sol.status)
+            return flows, diag
+
+        monkeypatch.setattr(mpc, "build_prediction", counting_prediction)
+        monkeypatch.setattr(harness, "control_step", checking_control)
+        harness.run_simulation(philadelphia_noir(seed=1), SimConfig(seed=1, d0=1000, steps=20))
+        assert len(verdicts) == 20
+        assert SolveStatus.INFEASIBLE in verdicts and SolveStatus.OPTIMAL in verdicts
+
+    @pytest.mark.parametrize("excess", [1.5, 2.5])
+    def test_blocking_agrees_with_the_solver_at_its_limit(self, monkeypatch, excess):
+        # road 4 cannot drain (p = 0) and only the inlet feeds it, so it
+        # exceeds capacity by `excess` solver limits whatever the flows; road
+        # 3's capacity of 1e6 sets the right-hand side's scale and so a limit
+        # near 1e-2. The solver admits an inflow down to -limit, which takes
+        # one limit off road 4: the program is infeasible only beyond two
+        import noirsim.mpc as mpc
+
+        built = []
+
+        def counting_prediction(*args):
+            built.append(args)
+            return build_prediction(*args)
+
+        monkeypatch.setattr(mpc, "build_prediction", counting_prediction)
+        a, b = chain_ab(p_values=(0.0, 0.0))
+        cfg = MpcConfig(d0=5.0, x_max=np.array([1e6, 2.0]), n_tau=1)
+        state = TrafficState(np.array([0.0, 2.0 + excess * feasibility_limit(cfg.x_max)]))
+        _, diag = control_step(state, a, b, cfg)
+        full = solve_qp(build_qp(build_prediction(a, b, cfg.n_tau), state, cfg))
+        assert diag.solution.status is full.status
+        if excess > 2.0:
+            assert full.status is SolveStatus.INFEASIBLE
+            assert not built
+            assert diag.solution.infeasible_ineq_rows == (3,)
+        else:
+            assert full.status is not SolveStatus.INFEASIBLE
+            assert len(built) == 1
+
+    @pytest.mark.parametrize("excess, blocked", [(2.5, False), (3.5, True)])
+    def test_blocking_threshold_counts_both_limits(self, excess, blocked):
+        # road 3 cannot drain (p = 0) but feeds the outlet. Over the points
+        # that the solver admits, the outlet may take d0 plus one equality
+        # limit plus the flow limit that the inlet gives up, so road 3 is
+        # blocked only beyond three limits; d0 = 1e6 makes the equality and
+        # inequality limits about equal
+        a, b = chain_ab(p_values=(0.0, 0.0))
+        cfg = MpcConfig(d0=1e6, x_max=np.array([2.0, 2.0]), n_tau=1)
+        limit = feasibility_limit(np.array([cfg.d0]))
+        x = np.array([cfg.d0 + 2.0 + excess * limit, 0.0])
+        sol = _blocked_capacity(x, a, b, cfg)
+        assert (sol is not None) is blocked
+        if blocked:
+            assert sol.infeasible_ineq_rows == (2,)
+
+    def test_lower_bound_still_builds_the_program(self, monkeypatch):
+        # the zero-demand probe needs the program, so a blocked step under the
+        # lower bound solves it at d0 and at zero demand
+        import noirsim.mpc as mpc
+
+        built, solved = [], []
+
+        def counting_prediction(*args):
+            built.append(args)
+            return build_prediction(*args)
+
+        def recording_solve(problem, **kwargs):
+            solved.append(problem.eq_rhs[0])
+            return solve_qp(problem, **kwargs)
+
+        monkeypatch.setattr(mpc, "build_prediction", counting_prediction)
+        monkeypatch.setattr(mpc, "solve_qp", recording_solve)
+        a, b = chain_ab(p_values=(0.0, 0.0))
+        cfg = MpcConfig(
+            d0=5.0, x_max=np.array([2.0, 2.0]), n_tau=1, enforce_density_lower_bound=True
+        )
+        s, diag = control_step(TrafficState(np.array([10.0, 10.0])), a, b, cfg)
+        assert diag.solution.status is SolveStatus.INFEASIBLE
+        assert np.array_equal(s, np.zeros(2))
+        assert len(built) == 1
+        assert solved == [5.0, 0.0]

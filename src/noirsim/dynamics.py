@@ -3,13 +3,22 @@
 The interior densities evolve as x[k+1] = A[k] x[k] + B s[k], where A[k] is
 assembled each step from freshly sampled outflow probabilities and turn
 fractions, and B maps boundary inflows/outflows onto the interior state.
+
+A[k] has one entry per interior-to-interior edge plus the diagonal, a small
+share of the n x n matrix on a street network, so the turn fractions and
+A[k] are ``scipy.sparse`` CSC arrays on that fixed pattern. Each is made by
+one constructor call from its data, row indices and column pointers; no step
+builds a dense n x n array. B stays dense: it has one column per boundary
+road.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .graph import NoirGraph
 
@@ -23,6 +32,9 @@ class TrafficState:
 
     def __post_init__(self) -> None:
         x = np.array(self.densities, dtype=float, copy=True).reshape(-1)
+        if not np.isfinite(x).all():
+            bad = int(np.argmin(np.isfinite(x)))
+            raise ValueError(f"density {x[bad]} at state index {bad} is not finite")
         object.__setattr__(self, "densities", x)
 
 
@@ -31,7 +43,7 @@ def sample_matrices(
     graph: NoirGraph,
     state: TrafficState,
     p_max: float = 0.9,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, scipy.sparse.csc_array]:
     """Draw one step's outflow probabilities ``p`` and turn fractions ``q``.
 
     ``p[i]`` is the fraction of interior road i's density that leaves it
@@ -40,8 +52,11 @@ def sample_matrices(
     node's out-neighbors (flat Dirichlet). ``q`` holds their
     interior-to-interior block in state order: ``q[i, j]`` is the fraction
     of interior node j's outflow that enters interior node i, so a column
-    falls short of 1 by the share its road sends to outlets. Given the same
-    generator state the result is bit-identical.
+    falls short of 1 by the share its road sends to outlets. ``q`` is a
+    sparse CSC array with one stored entry per interior-to-interior edge:
+    those edges, in the graph's (tail, head) order, are its entries column
+    by column with sorted rows. Given the same generator state the result is
+    bit-identical.
     """
     if not 0.0 < p_max < 1.0:
         raise ValueError(f"p_max must lie strictly between 0 and 1, got {p_max}")
@@ -75,27 +90,72 @@ def sample_matrices(
     frac[split] = gammas * (1.0 / total[owner])
 
     inner = (tails > nb) & (heads > nb)
-    matrix = np.zeros((n_i, n_i))
-    matrix[heads[inner] - nb - 1, tails[inner] - nb - 1] = frac[inner]
-    return p, matrix
+    indptr = np.searchsorted(tails[inner], np.arange(nb + 1, graph.n_total + 2))
+    q = scipy.sparse.csc_array((frac[inner], heads[inner] - nb - 1, indptr), shape=(n_i, n_i))
+    return p, q
 
 
-def assemble_state_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _with_diagonal(
+    n: int, dtype: np.dtype, indptr: bytes, indices: bytes
+) -> tuple[np.ndarray, ...]:
+    """The pattern of ``q * p + diag(1 - p)`` for a canonical CSC ``q``.
+
+    Returns the column of each entry of ``q``, its slot in the result, the
+    slot of each diagonal entry, and the result's row indices and column
+    pointers. A network's turn fractions keep one pattern from step to
+    step, so this runs once per network, not once per step.
+    """
+    rows = np.frombuffer(indices, dtype=dtype)
+    cols = np.repeat(np.arange(n), np.diff(np.frombuffer(indptr, dtype=dtype)))
+    # the entries of the result, keyed and sorted column by column
+    entry = cols * n + rows
+    keys = np.union1d(entry, np.arange(n) * (n + 1))
+    a_cols, a_rows = np.divmod(keys, n)
+    pattern = (
+        cols,
+        np.searchsorted(keys, entry),
+        np.searchsorted(keys, np.arange(n) * (n + 1)),
+        a_rows,
+        np.searchsorted(a_cols, np.arange(n + 1)),
+    )
+    for arr in pattern:
+        arr.flags.writeable = False
+    return pattern
+
+
+def assemble_state_matrix(
+    p: np.ndarray, q: np.ndarray | scipy.sparse.sparray
+) -> scipy.sparse.csc_array:
     """State matrix of the density update: identity minus outflow plus routed inflow.
 
     Entry (i, j) for i != j is ``q[i, j] * p[j]``; the diagonal is
-    ``1 - p[i]`` plus any self-routing. All entries are nonnegative by
-    construction, exactly (no rounding slack), whenever p is in [0, 1].
+    ``1 - p[i]`` plus any self-routing ``q[i, i] * p[i]``. All entries are
+    nonnegative by construction, exactly (no rounding slack), whenever p is
+    in [0, 1], and each equals the same entry of the dense
+    ``q * p + diag(1 - p)`` bit for bit.
+
+    ``q`` may be dense or sparse; anything but a CSC array is converted to
+    one, and a CSC array with repeated or unsorted entries is read through a
+    canonical copy. The result is a CSC array whose pattern is ``q``'s plus
+    the diagonal, with sorted rows.
     """
     p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
     n = p.size
+    if not (scipy.sparse.issparse(q) and q.format == "csc"):
+        q = scipy.sparse.csc_array(q, dtype=float)
     if q.shape != (n, n):
         raise ValueError(f"fraction matrix shape {q.shape} does not match {n} roads")
-    a = q * p[np.newaxis, :]
-    idx = np.arange(n)
-    a[idx, idx] += 1.0 - p
-    return a
+    if not q.has_canonical_format:
+        q = q.copy()
+        q.sum_duplicates()
+    cols, slot, diag, indices, indptr = _with_diagonal(
+        n, q.indices.dtype, q.indptr.tobytes(), q.indices.tobytes()
+    )
+    data = np.zeros(indices.size)
+    data[slot] = q.data * p[cols]
+    data[diag] += 1.0 - p
+    return scipy.sparse.csc_array((data, indices, indptr), shape=(n, n))
 
 
 def assemble_input_matrix(graph: NoirGraph) -> np.ndarray:
@@ -115,11 +175,14 @@ def assemble_input_matrix(graph: NoirGraph) -> np.ndarray:
     return b
 
 
-def step(state: TrafficState, a: np.ndarray, b: np.ndarray, s: np.ndarray) -> TrafficState:
+def step(
+    state: TrafficState, a: np.ndarray | scipy.sparse.sparray, b: np.ndarray, s: np.ndarray
+) -> TrafficState:
     """Advance the density state one step: x' = a x + b s.
 
-    No clamping is applied; keeping densities inside their bounds is the
-    controller's job, and any violation should stay visible.
+    ``a`` may be a dense or a sparse array. No clamping is applied; keeping
+    densities inside their bounds is the controller's job, and any violation
+    should stay visible.
     """
     x = state.densities
     s = np.asarray(s, dtype=float).reshape(-1)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse
 
 # The assemble_* names are unused here; benchmarks/tracing.py still wraps them.
 from .dynamics import TrafficState, assemble_input_matrix, assemble_state_matrix  # noqa: F401
@@ -71,9 +72,16 @@ class PredictionMatrices:
     n_input: int
 
 
-def build_prediction(a: np.ndarray, b: np.ndarray, n_tau: int) -> PredictionMatrices:
-    """Stack the horizon prediction matrices for fixed (a, b)."""
-    a = np.asarray(a, dtype=float)
+def build_prediction(
+    a: np.ndarray | scipy.sparse.sparray, b: np.ndarray, n_tau: int
+) -> PredictionMatrices:
+    """Stack the horizon prediction matrices for fixed (a, b).
+
+    ``a`` may be dense or sparse. A sparse ``a`` is densified here, the one
+    place where the state matrix becomes an n x n dense array: G and H are
+    dense, and only a step that the closed forms do not settle builds them.
+    """
+    a = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not isinstance(n_tau, int) or isinstance(n_tau, bool) or n_tau < 1:
         raise ValueError(f"horizon must be a positive integer, got {n_tau!r}")
@@ -141,7 +149,7 @@ def build_qp(pm: PredictionMatrices, state: TrafficState, config: MpcConfig) -> 
 
 
 def _even_split(
-    x: np.ndarray, a: np.ndarray, b: np.ndarray, config: MpcConfig
+    x: np.ndarray, a: np.ndarray | scipy.sparse.sparray, b: np.ndarray, config: MpcConfig
 ) -> QpSolution | None:
     """The horizon program's closed-form solution when the even split breaks
     none of its rows, else None.
@@ -187,7 +195,7 @@ def _even_split(
 
 
 def _horizon_reach(
-    x: np.ndarray, a: np.ndarray, b: np.ndarray, n_tau: int
+    x: np.ndarray, a: np.ndarray | scipy.sparse.sparray, b: np.ndarray, n_tau: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One roll over the horizon: ``n_tau`` mat-vecs and ``n_tau - 1``
     products ``A @ (A^m B)``.
@@ -210,7 +218,7 @@ def _horizon_reach(
 
 
 def _blocked_capacity(
-    x: np.ndarray, a: np.ndarray, b: np.ndarray, config: MpcConfig
+    x: np.ndarray, a: np.ndarray | scipy.sparse.sparray, b: np.ndarray, config: MpcConfig
 ) -> QpSolution | None:
     """The horizon program's infeasibility certificate when some capacity
     row fails ``solve_qp``'s feasibility test at every point, else None.
@@ -242,7 +250,7 @@ def _blocked_capacity(
 
 
 def _closed_form(
-    state: TrafficState, a: np.ndarray, b: np.ndarray, config: MpcConfig
+    state: TrafficState, a: np.ndarray | scipy.sparse.sparray, b: np.ndarray, config: MpcConfig
 ) -> QpSolution | None:
     """The step's answer when one of the two closed forms settles it: the
     even split when it breaks no row, or, without the lower bound, the
@@ -252,9 +260,8 @@ def _closed_form(
     """
     x = state.densities
     n_state = x.size
-    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != (n_state, n_state) or b.ndim != 2 or b.shape[0] != n_state:
+    if np.shape(a) != (n_state, n_state) or b.ndim != 2 or b.shape[0] != n_state:
         return None
     if b.shape[1] == 0 or config.x_max.size != n_state:
         return None
@@ -276,15 +283,16 @@ class ControlDiagnostics:
 
 def control_step(
     state: TrafficState,
-    a: np.ndarray,
+    a: np.ndarray | scipy.sparse.sparray,
     b: np.ndarray,
     config: MpcConfig,
 ) -> tuple[np.ndarray, ControlDiagnostics]:
     """Compute the boundary flows to apply at the current step.
 
-    ``a`` is this step's state matrix and ``b`` the network's input matrix;
-    both are held fixed across the horizon. Returns the first block of the
-    optimal stacked sequence together with solve diagnostics.
+    ``a`` is this step's state matrix, dense or sparse, and ``b`` the
+    network's input matrix; both are held fixed across the horizon. Returns
+    the first block of the optimal stacked sequence together with solve
+    diagnostics.
 
     Closed-form answers at both ends are tried before the program. The even
     split ``d0 / n_input`` comes first: ``n_tau`` mat-vecs roll it over the

@@ -9,13 +9,14 @@ Solves problems of the form
 with H symmetric positive definite, using a primal active-set method.
 Iterates stay primal feasible, so capacity-style constraints hold at every
 intermediate point. A solution reported optimal carries KKT residuals at or
-below ``_TOL``. ``QpProblem`` rejects linearly dependent equality rows (the
-standard assumption of equality-constrained and active-set QP), so the
-equalities are always consistent. One test decides feasibility: no row
-violated by more than ``feasibility_limit`` of its block's right-hand side,
-``_TOL * (1 + max |rhs|)``. When no start passes it, the problem comes back
-infeasible with a certificate: the inequality rows still violated beyond
-that limit at the point of least worst violation.
+below ``_TOL``; one refinement solve on the final working set keeps them at
+round-off when the multipliers are large. ``QpProblem`` rejects linearly
+dependent equality rows (the standard assumption of equality-constrained and
+active-set QP), so the equalities are always consistent. One test decides
+feasibility: no row violated by more than ``feasibility_limit`` of its
+block's right-hand side, ``_TOL * (1 + max |rhs|)``. When no start passes
+it, the problem comes back infeasible with a certificate: the inequality
+rows still violated beyond that limit at the point of least worst violation.
 """
 
 from __future__ import annotations
@@ -54,13 +55,16 @@ class KktResiduals:
     dual_feasibility: float
 
     def worst(self) -> float:
-        return max(
+        """The largest residual, or NaN when any residual is NaN (Python's
+        ``max`` would drop a NaN that is not first)."""
+        residuals = (
             self.stationarity,
             self.primal_equality,
             self.primal_inequality,
             self.complementarity,
             self.dual_feasibility,
         )
+        return float(np.max(residuals))
 
     def within(self, tol: float) -> bool:
         return self.worst() <= tol
@@ -231,7 +235,9 @@ def solve_qp(
     hint, ignored when infeasible), the least-norm equality point and the
     phase-one point of least worst violation. When none is feasible the
     problem is infeasible, and the rows that the phase-one point violates
-    are its certificate (every row if the LP failed). Degenerate choices
+    are its certificate (every row if the LP failed). On convergence the
+    point and multipliers are corrected once from their KKT residuals on
+    the final working set, before the optimality test. Degenerate choices
     (which constraint to activate or drop) are broken by smallest row
     index, so repeated solves are deterministic.
     """
@@ -288,6 +294,15 @@ def solve_qp(
             lam_w = mu[m_eq:]
             if lam_w.size == 0 or float(lam_w.min()) >= -_TOL:
                 u = u + p
+                # One refinement solve on the final working set: the KKT
+                # solve's round-off leaves working rows off by up to ~1e-12,
+                # which multipliers near 1e4 lift past _TOL in
+                # complementarity. Solving for corrections from the residuals
+                # shrinks them to round-off of the residuals themselves.
+                top = -(hessian @ u + c + c_rows.T @ mu)
+                bottom = np.concatenate([b - a @ u, h[working] - g_w @ u])
+                dp, dmu = _solve_kkt(hessian, c_rows, top, bottom)
+                u, mu = u + dp, mu + dmu
                 converged = True
                 break
             # drop the most negative multiplier; ties go to the smallest row index

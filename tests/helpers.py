@@ -16,6 +16,7 @@ import numpy as np
 
 from noirsim.dynamics import TrafficState
 from noirsim.graph import NoirGraph, RoadAttributes, RoadClass, build_graph
+from noirsim.harness import generate_grid_noir
 from noirsim.qp import QpProblem
 
 ATTR = RoadAttributes(length_m=100.0, lane_count=1)
@@ -40,6 +41,17 @@ def chain_graph() -> NoirGraph:
         ],
         [(1, 4), (4, 3), (3, 2)],
     )
+
+
+def random_valid_grid(rng: np.random.Generator) -> NoirGraph:
+    """A seeded grid of 2-5 by 2-5 intersections with 1 to all perimeter
+    slots as inlets and as outlets; every such grid passes validation."""
+    rows = int(rng.integers(2, 6))
+    cols = int(rng.integers(2, 6))
+    perimeter = 2 * (rows + cols) - 4
+    n_in = int(rng.integers(1, perimeter + 1))
+    n_out = int(rng.integers(1, perimeter + 1))
+    return generate_grid_noir(rows, cols, n_in, n_out, int(rng.integers(0, 1_000_000)))
 
 
 def reach_closure(n: int, edges) -> np.ndarray:

@@ -32,6 +32,7 @@ from helpers import (
     enumerate_qp,
     iterate_prediction,
     random_feasible_qp,
+    random_valid_grid,
     spectral_radius_estimate,
 )
 
@@ -39,15 +40,6 @@ from helpers import (
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-def _random_valid_grid(rng) -> tuple:
-    rows = int(rng.integers(2, 6))
-    cols = int(rng.integers(2, 6))
-    perimeter = 2 * (rows + cols) - 4
-    n_in = int(rng.integers(1, perimeter + 1))
-    n_out = int(rng.integers(1, perimeter + 1))
-    return generate_grid_noir(rows, cols, n_in, n_out, int(rng.integers(0, 1_000_000)))
 
 
 def test_criterion_1_state_matrix_properties():
@@ -58,7 +50,7 @@ def test_criterion_1_state_matrix_properties():
     failures = []
     samples = 0
     for g_idx in range(20):
-        g = _random_valid_grid(rng)
+        g = random_valid_grid(rng)
         outlet_adjacent = np.array(
             [
                 any(g.road_class(t) is RoadClass.OUTLET for t in g.out_neighbors(i))
@@ -68,7 +60,7 @@ def test_criterion_1_state_matrix_properties():
         for s_idx in range(50):
             state = TrafficState(rng.uniform(0.1, 30.0, size=g.n_interior))
             probs, fractions = sample_matrices(rng, g, state)
-            a = assemble_state_matrix(probs, fractions)
+            a = assemble_state_matrix(probs, fractions).toarray()
             samples += 1
             if not (a >= 0.0).all():
                 failures.append(f"graph {g_idx} sample {s_idx}: negative entry")
@@ -97,7 +89,7 @@ def test_criterion_2_bounded_trajectories():
     start = time.perf_counter()
     violations = 0
     for _ in range(50):
-        g = _random_valid_grid(rng)
+        g = random_valid_grid(rng)
         b = assemble_input_matrix(g)
         state = TrafficState(rng.uniform(0.0, 20.0, size=g.n_interior))
         z_terms = [float(np.abs(state.densities).max())]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from helpers import (
     ATTR,
     bibo_bound,
     chain_graph,
+    random_valid_grid,
     reference_sample_matrices,
     spectral_radius_estimate,
     tiny_graph,
@@ -48,6 +50,14 @@ def assert_state_matrix_contract(a: np.ndarray, graph, tol: float = 1e-12) -> No
     assert spectral_radius_estimate(a) < 1.0
 
 
+class TestTrafficState:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_density_is_rejected(self, bad):
+        # a state of the two-road chain
+        with pytest.raises(ValueError, match="state index 0 is not finite"):
+            TrafficState(np.array([bad, 1.0]))
+
+
 class TestSampling:
     def test_zero_density_gives_zero_probability(self):
         g = chain_graph()
@@ -71,7 +81,7 @@ class TestSampling:
         p1, q1 = sample_matrices(np.random.default_rng(42), g, state)
         p2, q2 = sample_matrices(np.random.default_rng(42), g, state)
         assert np.array_equal(p1, p2)
-        assert np.array_equal(q1, q2)
+        assert np.array_equal(q1.toarray(), q2.toarray())
         _, edges1, _ = reference_sample_matrices(np.random.default_rng(42), g, state)
         _, edges2, _ = reference_sample_matrices(np.random.default_rng(42), g, state)
         assert edges1 == edges2
@@ -106,7 +116,7 @@ class TestSampling:
             probs, fractions = sample_matrices(rng, graph, state)
             p, _, matrix = reference_sample_matrices(ref_rng, graph, state)
             assert probs.tobytes() == p.tobytes()
-            assert fractions.tobytes() == matrix.tobytes()
+            assert fractions.toarray().tobytes() == matrix.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_p_max_domain(self):
@@ -141,11 +151,12 @@ class TestSampling:
 
 class TestStateMatrix:
     def test_zero_probability_gives_identity(self):
-        assert np.array_equal(assemble_state_matrix(np.zeros(3), np.zeros((3, 3))), np.eye(3))
+        a = assemble_state_matrix(np.zeros(3), np.zeros((3, 3))).toarray()
+        assert np.array_equal(a, np.eye(3))
 
     def test_hand_expansion(self):
         p, q = hand_pq()
-        a = assemble_state_matrix(p, q)
+        a = assemble_state_matrix(p, q).toarray()
         assert np.array_equal(a, np.array([[0.5, 0.5], [0.0, 0.5]]))
 
     def test_column_sum_identity(self):
@@ -267,6 +278,37 @@ class TestStep:
         assert np.array_equal(results[0], results[1])
 
 
+class TestSparseStateMatrix:
+    """The sampler and the assembly carry A[k] as a CSC array; it must equal
+    the dense model that the per-node reference sampler gives."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_assembly_matches_dense_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_valid_grid(rng)
+        densities = rng.uniform(0.0, 10.0, g.n_interior)
+        densities[rng.random(g.n_interior) < 0.3] = 0.0
+        state = TrafficState(densities)
+        a = assemble_state_matrix(*sample_matrices(np.random.default_rng(seed), g, state))
+        p, _, q_ref = reference_sample_matrices(np.random.default_rng(seed), g, state)
+        assert isinstance(a, scipy.sparse.csc_array)
+        assert a.toarray().tobytes() == (q_ref * p + np.diag(1.0 - p)).tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_step_matches_dense_product(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_valid_grid(rng)
+        state = TrafficState(rng.uniform(0.0, 50.0, g.n_interior))
+        a = assemble_state_matrix(*sample_matrices(rng, g, state))
+        b = assemble_input_matrix(g)
+        s = rng.uniform(0.0, 5.0, g.n_boundary)
+        dense = a.toarray() @ state.densities + b @ s
+        scale = (a.toarray() @ state.densities + np.abs(b) @ s).max()
+        assert np.abs(step(state, a, b, s).densities - dense).max() <= 1e-12 * scale
+
+
 class TestFlows:
     def test_conservation_without_boundary(self):
         # when every fraction column sums to 1, total density is conserved
@@ -285,7 +327,7 @@ class TestStateMatrixContract:
     def test_hand_example_column_sums(self):
         g = chain_graph()
         p, q = hand_pq()
-        a = assemble_state_matrix(p, q)
+        a = assemble_state_matrix(p, q).toarray()
         # state order (3, 4): road 3 drains to the outlet, road 4 does not
         assert a.sum(axis=0) == pytest.approx([0.5, 1.0])
         assert_state_matrix_contract(a, g)
@@ -296,7 +338,7 @@ class TestStateMatrixContract:
             g = generate_grid_noir(3, 4, 2, 2, seed=trial)
             state = TrafficState(rng.uniform(1.0, 10.0, size=g.n_interior))
             probs, fractions = sample_matrices(rng, g, state)
-            a = assemble_state_matrix(probs, fractions)
+            a = assemble_state_matrix(probs, fractions).toarray()
             assert_state_matrix_contract(a, g)
 
 

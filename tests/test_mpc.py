@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -10,7 +12,7 @@ from noirsim.dynamics import (
     sample_matrices,
     step,
 )
-from noirsim.harness import SimConfig, philadelphia_noir
+from noirsim.harness import SimConfig, philadelphia_noir, run_simulation
 from noirsim.mpc import (
     MpcConfig,
     _blocked_capacity,
@@ -377,6 +379,106 @@ class TestEvenSplitFastPath:
         for sol in solutions:
             assert sol.status is SolveStatus.OPTIMAL
             assert sol.n_iterations == 0
+
+
+class TestSparseStateMatrix:
+    """``control_step`` takes the sampled CSC state matrix as it is; only
+    ``build_prediction`` densifies it, so a dense copy gives the same answer."""
+
+    @pytest.mark.parametrize(
+        "d0, top, builds",
+        [
+            # the preset's demand: the even split breaks no row
+            (100.0, 0.1, False),
+            # ten times that demand: capacity binds and the program is solved
+            (1000.0, 0.3, True),
+        ],
+        ids=["even-split", "binding"],
+    )
+    def test_dense_copy_gives_the_same_step(self, monkeypatch, d0, top, builds):
+        import noirsim.mpc as mpc
+
+        built = []
+
+        def counting_prediction(a, *args):
+            built.append(scipy.sparse.issparse(a))
+            return build_prediction(a, *args)
+
+        monkeypatch.setattr(mpc, "build_prediction", counting_prediction)
+        g = philadelphia_noir(seed=1)
+        b = assemble_input_matrix(g)
+        cfg = MpcConfig(d0=d0, x_max=g.capacity_vector(), n_tau=5)
+        rng = np.random.default_rng(1)
+        state = TrafficState(rng.uniform(0.0, top * cfg.x_max))
+        a = assemble_state_matrix(*sample_matrices(rng, g, state))
+        s_sparse, diag_sparse = control_step(state, a, b, cfg)
+        s_dense, diag_dense = control_step(state, a.toarray(), b, cfg)
+        assert built == ([True, False] if builds else [])
+        assert diag_sparse.solution.status is SolveStatus.OPTIMAL
+        assert diag_dense.solution.status is diag_sparse.solution.status
+        assert bool(diag_sparse.solution.active_set) is builds
+        assert s_sparse.tobytes() == s_dense.tobytes()
+
+    def test_run_simulation_passes_a_sparse_state_matrix(self, monkeypatch):
+        import noirsim.harness as harness
+
+        seen = []
+
+        def recording_control(state, a, b, cfg):
+            seen.append(a)
+            return control_step(state, a, b, cfg)
+
+        monkeypatch.setattr(harness, "control_step", recording_control)
+        g = philadelphia_noir(seed=1)
+        harness.run_simulation(g, SimConfig(steps=3, seed=1))
+        assert len(seen) == 3
+        for a in seen:
+            assert isinstance(a, scipy.sparse.csc_array)
+            assert a.shape == (g.n_interior, g.n_interior)
+
+    def test_round_off_in_the_plant_keeps_a_binding_step_optimal(self):
+        # The sparse plant moves overload seed 8's densities in the 13th
+        # digit; at step 69 the KKT step alone then left complementarity at
+        # 1.13e-8 (parent 4.0e-9), above the 1e-8 tolerance. The refinement
+        # solve puts it at round-off.
+        g = philadelphia_noir(seed=1)
+        log = run_simulation(g, SimConfig(steps=69, seed=8, d0=1000.0))
+        last = log.records[-1]
+        assert last.step == 69
+        assert last.status == "optimal"
+        assert last.kkt_worst <= 1e-10
+
+    def test_fast_path_steps_allocate_no_dense_state_matrix(self, monkeypatch):
+        # The largest block allocated during a step, measured from the
+        # memory in use when the step starts, stays below one dense n x n
+        # array; the dense state matrix and turn fractions were two of them.
+        import noirsim.harness as harness
+        import noirsim.mpc as mpc
+
+        def refuse(*args):
+            raise AssertionError("build_prediction was called")
+
+        starts, growth = [], []
+
+        def measured_sample(*args):
+            # called once per step, as the step starts
+            current, peak = tracemalloc.get_traced_memory()
+            if starts:
+                growth.append(peak - starts[-1])
+            starts.append(current)
+            tracemalloc.reset_peak()
+            return sample_matrices(*args)
+
+        monkeypatch.setattr(mpc, "build_prediction", refuse)
+        monkeypatch.setattr(harness, "sample_matrices", measured_sample)
+        g = philadelphia_noir(seed=1)
+        tracemalloc.start()
+        try:
+            harness.run_simulation(g, SimConfig(steps=10, seed=1))
+        finally:
+            tracemalloc.stop()
+        assert len(growth) == 9
+        assert max(growth) < 8 * g.n_interior**2
 
 
 def least_activity(h, rows, n_tau, d0):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noirsim.qp import QpProblem, SolveStatus, kkt_residuals, solve_qp
+from noirsim.qp import KktResiduals, QpProblem, SolveStatus, kkt_residuals, solve_qp
 
 from helpers import enumerate_qp, random_feasible_qp
 
@@ -118,6 +118,35 @@ class TestKktResiduals:
             assert sol.status is SolveStatus.OPTIMAL
             res = kkt_residuals(problem, sol.u_star, sol.eq_duals, sol.ineq_duals)
             assert res.within(1e-8)
+
+    def test_large_multipliers_leave_round_off_residuals(self):
+        # Demand-scale linear terms give multipliers near 1e3 on about 58
+        # working rows; the final refinement solve keeps every residual at
+        # round-off (about 3e-12 here), where the KKT step alone left
+        # complementarity at 2e-10 to 1.4e-9.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            n, m = 60, 200
+            g = rng.random((m, n)) * (rng.random((m, n)) < 0.2)
+            h = 50.0 + 10.0 * rng.random(m)
+            problem = QpProblem(
+                np.eye(n),
+                -1000.0 * rng.random(n),
+                np.ones((1, n)),
+                [300.0],
+                np.vstack([g, -np.eye(n)]),
+                np.concatenate([h, np.zeros(n)]),
+            )
+            sol = solve_qp(problem)
+            assert sol.status is SolveStatus.OPTIMAL
+            assert sol.ineq_duals.max() > 500.0
+            assert sol.kkt.within(1e-10)
+
+    def test_nan_residual_is_not_within_tolerance(self):
+        # the third slot: Python's max keeps a NaN only when it comes first
+        res = KktResiduals(0.0, 0.0, float("nan"), 0.0, 0.0)
+        assert np.isnan(res.worst())
+        assert not res.within(1e-8)
 
 
 class TestSolverProperties:

@@ -8,12 +8,12 @@ is the even split ``d0 / n_input`` at every step. A step tries closed-form
 answers at both ends before the program. It first rolls that split forward
 with ``n_tau`` mat-vecs; when no predicted density breaks its capacity (or,
 under the lower bound, goes negative) the split is the exact optimum and the
-step returns it with its closed-form certificate. Without the lower bound it
-then rolls the least density that any admissible flow leaves; when that
-floor exceeds a capacity beyond the solver's feasibility tolerance, no flow
-is feasible and the step returns zero flows with those capacity rows as its
-certificate. Only otherwise does it stack the cost and feasibility
-constraints into a quadratic program and solve it.
+step returns it with its closed-form certificate. It then rolls the least
+density that any admissible flow leaves; when that floor exceeds a capacity
+beyond the solver's feasibility tolerance, no flow is feasible, with or
+without the lower bound, and the step returns zero flows with those capacity
+rows as its certificate. Only otherwise does it stack the cost and
+feasibility constraints into a quadratic program and solve it.
 """
 
 from __future__ import annotations
@@ -231,12 +231,15 @@ def _blocked_capacity(
     lowers the floor by a further ``b_limit * |low[m, r]| + h_limit *
     spread[m, r]``, and no more. A row whose floor still exceeds its
     capacity by more than ``h_limit`` is blocked: no start passes the test,
-    so ``solve_qp`` would return INFEASIBLE as well. The certificate lists
-    the blocked rows in the program's row order,
+    so ``solve_qp`` would return INFEASIBLE as well, under both bounds:
+    ``h_limit`` is that of the whole inequality right-hand side that
+    ``build_qp`` stacks, and extra rows only shrink the admissible points.
+    The certificate lists the blocked rows in the program's row order,
     ``n_tau * n_input + (j - 1) * n_state + r``.
     """
     free, low, spread = _horizon_reach(x, a, b, config.n_tau)
-    h_limit = feasibility_limit(config.x_max - free)
+    rhs = [config.x_max - free] + ([free] if config.enforce_density_lower_bound else [])
+    h_limit = feasibility_limit(np.concatenate(rhs))
     b_limit = feasibility_limit(np.array([config.d0]))
     per_step = config.d0 * low - b_limit * np.abs(low) - h_limit * spread
     floor = free + np.cumsum(per_step, axis=0)
@@ -253,10 +256,14 @@ def _closed_form(
     state: TrafficState, a: np.ndarray | scipy.sparse.sparray, b: np.ndarray, config: MpcConfig
 ) -> QpSolution | None:
     """The step's answer when one of the two closed forms settles it: the
-    even split when it breaks no row, or, without the lower bound, the
-    certificate of a capacity row that no admissible flow can meet. None
-    otherwise, and for sizes that do not fit, so that the program reports
-    those.
+    even split when it breaks no row, or the certificate of a capacity row
+    that no admissible flow can meet, under either bound. None otherwise,
+    and for sizes that do not fit, so that the program reports those. Given
+    an outlet column in ``b``, as in every validated network, each ``low``
+    of ``A^m B`` is <= 0, so the floor only rises as demand falls: a row
+    blocked at ``d0`` is blocked at zero demand too, and a certified step
+    under the lower bound returns the zero flows that ``control_step``'s
+    zero-demand probe would.
     """
     x = state.densities
     n_state = x.size
@@ -266,7 +273,7 @@ def _closed_form(
     if b.shape[1] == 0 or config.x_max.size != n_state:
         return None
     sol = _even_split(x, a, b, config)
-    if sol is None and not config.enforce_density_lower_bound:
+    if sol is None:
         sol = _blocked_capacity(x, a, b, config)
     return sol
 
@@ -294,22 +301,10 @@ def control_step(
     the first block of the optimal stacked sequence together with solve
     diagnostics.
 
-    Closed-form answers at both ends are tried before the program. The even
-    split ``d0 / n_input`` comes first: ``n_tau`` mat-vecs roll it over the
-    horizon, and if every predicted density stays at or below capacity
-    (and, under the lower bound, at or above zero) it is returned without
-    building the prediction matrices or the program. It is then the exact
-    optimum, not an approximation: it minimises the cost under the per-step
-    sums alone and breaks no inequality row, so ``diag.solution`` is optimal
-    with 0 iterations, an empty active set, equality multipliers
-    ``-d0 / n_input`` and zero inequality multipliers. Any violation, however
-    small, falls through. Without the lower bound the step then rolls the
-    least density that any admissible flow leaves (``n_tau`` mat-vecs and
-    ``n_tau - 1`` products ``A @ (A^m B)``). When a floor exceeds its
-    capacity even over the points that the solver's feasibility test
-    admits, the returned flows are zero and ``diag.solution`` is infeasible,
-    with those capacity rows as its certificate; the program is neither
-    built nor solved.
+    Closed-form answers at both ends come first and build no program: the
+    even split when it is the exact optimum (``_even_split``, optimal with 0
+    iterations), and zero flows when a capacity row is blocked under either
+    bound (``_blocked_capacity``, infeasible with those rows as certificate).
 
     If the requested demand is infeasible for the current state and
     ``enforce_density_lower_bound`` is set, the demand is relaxed to the

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,11 +244,13 @@ class TestControlStep:
             assert probe.ineq_matrix is built[0].ineq_matrix
             assert probe.ineq_rhs is built[0].ineq_rhs
 
-    def test_totally_infeasible_reports_zero_flow(self, monkeypatch):
+    @pytest.mark.parametrize("lower_bound", [False, True])
+    def test_totally_infeasible_reports_zero_flow(self, monkeypatch, lower_bound):
         # state already above capacity: no boundary flow can fix it. Against
         # a capacity of 2, road 3 can shed at most d0 = 5 of its 10 vehicles
         # and road 4 only fills, so the closed-form check blocks both
-        # capacity rows and the step runs no phase-one LP
+        # capacity rows and the step runs no phase-one LP, under either bound:
+        # no demand probe is made either
         import noirsim.qp as qp
 
         calls, linprog = [], qp.linprog
@@ -259,10 +262,13 @@ class TestControlStep:
         monkeypatch.setattr(qp, "linprog", counting_linprog)
         a, b = chain_ab(p_values=(0.0, 0.0))
         state = TrafficState(np.array([10.0, 10.0]))
-        cfg = MpcConfig(d0=5.0, x_max=np.array([2.0, 2.0]), n_tau=1)
+        cfg = MpcConfig(
+            d0=5.0, x_max=np.array([2.0, 2.0]), n_tau=1, enforce_density_lower_bound=lower_bound
+        )
         s, diag = control_step(state, a, b, cfg)
         assert diag.solution.status is SolveStatus.INFEASIBLE
         assert not diag.fallback_used
+        assert diag.d0_applied == 0.0
         # the certificate reaches the caller and names both capacity rows
         # (rows 2 and 3: two flow-sign rows, then the capacities of roads 3 and 4)
         assert diag.solution.infeasible_ineq_rows == (2, 3)
@@ -481,6 +487,10 @@ class TestSparseStateMatrix:
         assert max(growth) < 8 * g.n_interior**2
 
 
+# the solver's feasibility limit for a right-hand side whose scale is 1e6
+LIMIT = feasibility_limit(np.array([1e6]))
+
+
 def least_activity(h, rows, n_tau, d0):
     """linprog's least value of each given row of ``h`` over ``U >= 0`` with
     per-step sums ``d0``. The rows share one LP with a copy of U per row;
@@ -500,9 +510,9 @@ def least_activity(h, rows, n_tau, d0):
 
 
 class TestCapacityCertificate:
-    """Without the lower bound, a step with a capacity row that no admissible
-    flow can meet returns that row as its certificate, before the dense
-    model is built."""
+    """A step with a capacity row that no admissible flow can meet returns
+    that row as its certificate, before the dense model is built, with or
+    without the lower bound."""
 
     def test_density_floor_matches_linprog(self):
         a, b = chain_ab()
@@ -528,7 +538,8 @@ class TestCapacityCertificate:
             expected = free_ref[rows] + least_activity(pm.H, rows, cfg.n_tau, cfg.d0)
             assert np.abs(floor.ravel()[rows] - expected).max() <= 1e-9 * scale
 
-    def test_certified_steps_are_infeasible_programs(self, monkeypatch):
+    @pytest.mark.parametrize("lower_bound", [False, True])
+    def test_certified_steps_are_infeasible_programs(self, monkeypatch, lower_bound):
         import noirsim.harness as harness
         import noirsim.mpc as mpc
 
@@ -538,38 +549,66 @@ class TestCapacityCertificate:
             built.append(args)
             return build_prediction(*args)
 
-        verdicts = []
+        verdicts, certified = [], []
 
         def checking_control(state, a, b, cfg):
             before = len(built)
             flows, diag = control_step(state, a, b, cfg)
-            full = solve_qp(build_qp(build_prediction(a, b, cfg.n_tau), state, cfg))
             sol = diag.solution
-            if full.status is SolveStatus.INFEASIBLE:
+            verdicts.append(sol.status)
+            if len(built) > before:
+                # the step solved the program itself; without the lower bound
+                # every infeasible program is answered in closed form
+                assert lower_bound or sol.status is not SolveStatus.INFEASIBLE
+                return flows, diag
+            problem = build_qp(build_prediction(a, b, cfg.n_tau), state, cfg)
+            assert solve_qp(problem).status is sol.status
+            if sol.status is SolveStatus.INFEASIBLE:
                 # answered in closed form: no dense model, zero flows and
                 # a certificate of capacity rows
-                assert len(built) == before
-                assert sol.status is SolveStatus.INFEASIBLE and sol.infeasible_ineq_rows
+                certified.append(state.step)
+                assert sol.infeasible_ineq_rows
                 assert min(sol.infeasible_ineq_rows) >= cfg.n_tau * b.shape[1]
                 assert np.array_equal(flows, np.zeros(b.shape[1]))
-            else:
-                assert sol.status is full.status
-            verdicts.append(sol.status)
+                assert diag.d0_applied == 0.0 and not diag.fallback_used
+                if lower_bound:
+                    # so the zero-demand probe that it skips could only fail
+                    zero = solve_qp(replace(problem, eq_rhs=np.zeros(cfg.n_tau)))
+                    assert zero.status is SolveStatus.INFEASIBLE
             return flows, diag
 
         monkeypatch.setattr(mpc, "build_prediction", counting_prediction)
         monkeypatch.setattr(harness, "control_step", checking_control)
-        harness.run_simulation(philadelphia_noir(seed=1), SimConfig(seed=1, d0=1000, steps=20))
+        cfg = SimConfig(seed=1, d0=1000, steps=20, enforce_density_lower_bound=lower_bound)
+        harness.run_simulation(philadelphia_noir(seed=1), cfg)
         assert len(verdicts) == 20
-        assert SolveStatus.INFEASIBLE in verdicts and SolveStatus.OPTIMAL in verdicts
+        assert certified and SolveStatus.OPTIMAL in verdicts
 
-    @pytest.mark.parametrize("excess", [1.5, 2.5])
-    def test_blocking_agrees_with_the_solver_at_its_limit(self, monkeypatch, excess):
-        # road 4 cannot drain (p = 0) and only the inlet feeds it, so it
-        # exceeds capacity by `excess` solver limits whatever the flows; road
-        # 3's capacity of 1e6 sets the right-hand side's scale and so a limit
-        # near 1e-2. The solver admits an inflow down to -limit, which takes
-        # one limit off road 4: the program is infeasible only beyond two
+    @pytest.mark.parametrize(
+        "x_max, x, lower_bound, blocked",
+        [
+            # road 4 cannot drain (p = 0) and only the inlet feeds it, so it
+            # exceeds capacity by 1.5 or 2.5 solver limits whatever the flows;
+            # road 3's capacity of 1e6 sets the right-hand side's scale and so
+            # a limit near 1e-2. The solver admits an inflow down to -limit,
+            # which takes one limit off road 4: the program is infeasible only
+            # beyond two
+            pytest.param((1e6, 2.0), (0.0, 2.0 + 1.5 * LIMIT), False, False, id="1.5"),
+            pytest.param((1e6, 2.0), (0.0, 2.0 + 2.5 * LIMIT), False, True, id="2.5"),
+            # under the lower bound, road 3's density of 1e6 sets the scale
+            # through the lower-bound block, while the capacity block alone
+            # would give a limit of about 1.1e-7. Road 4's excess of 1e-3 is
+            # within the program's limit of about 1e-2, so the solver does
+            # not call the program infeasible (it ends at its iteration
+            # limit), and a certificate on the smaller limit would be wrong
+            pytest.param(
+                (1e6 + 10.0, 2.0), (1e6, 2.0 + 1e-3), True, False, id="lower-bound-scale"
+            ),
+        ],
+    )
+    def test_blocking_agrees_with_the_solver_at_its_limit(
+        self, monkeypatch, x_max, x, lower_bound, blocked
+    ):
         import noirsim.mpc as mpc
 
         built = []
@@ -580,17 +619,18 @@ class TestCapacityCertificate:
 
         monkeypatch.setattr(mpc, "build_prediction", counting_prediction)
         a, b = chain_ab(p_values=(0.0, 0.0))
-        cfg = MpcConfig(d0=5.0, x_max=np.array([1e6, 2.0]), n_tau=1)
-        state = TrafficState(np.array([0.0, 2.0 + excess * feasibility_limit(cfg.x_max)]))
+        cfg = MpcConfig(
+            d0=5.0, x_max=np.array(x_max), n_tau=1, enforce_density_lower_bound=lower_bound
+        )
+        state = TrafficState(np.array(x))
         _, diag = control_step(state, a, b, cfg)
         full = solve_qp(build_qp(build_prediction(a, b, cfg.n_tau), state, cfg))
+        assert (full.status is SolveStatus.INFEASIBLE) is blocked
         assert diag.solution.status is full.status
-        if excess > 2.0:
-            assert full.status is SolveStatus.INFEASIBLE
+        if blocked:
             assert not built
             assert diag.solution.infeasible_ineq_rows == (3,)
         else:
-            assert full.status is not SolveStatus.INFEASIBLE
             assert len(built) == 1
 
     @pytest.mark.parametrize("excess, blocked", [(2.5, False), (3.5, True)])
@@ -608,30 +648,3 @@ class TestCapacityCertificate:
         assert (sol is not None) is blocked
         if blocked:
             assert sol.infeasible_ineq_rows == (2,)
-
-    def test_lower_bound_still_builds_the_program(self, monkeypatch):
-        # the zero-demand probe needs the program, so a blocked step under the
-        # lower bound solves it at d0 and at zero demand
-        import noirsim.mpc as mpc
-
-        built, solved = [], []
-
-        def counting_prediction(*args):
-            built.append(args)
-            return build_prediction(*args)
-
-        def recording_solve(problem, **kwargs):
-            solved.append(problem.eq_rhs[0])
-            return solve_qp(problem, **kwargs)
-
-        monkeypatch.setattr(mpc, "build_prediction", counting_prediction)
-        monkeypatch.setattr(mpc, "solve_qp", recording_solve)
-        a, b = chain_ab(p_values=(0.0, 0.0))
-        cfg = MpcConfig(
-            d0=5.0, x_max=np.array([2.0, 2.0]), n_tau=1, enforce_density_lower_bound=True
-        )
-        s, diag = control_step(TrafficState(np.array([10.0, 10.0])), a, b, cfg)
-        assert diag.solution.status is SolveStatus.INFEASIBLE
-        assert np.array_equal(s, np.zeros(2))
-        assert len(built) == 1
-        assert solved == [5.0, 0.0]

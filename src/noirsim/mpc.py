@@ -13,7 +13,11 @@ density that any admissible flow leaves; when that floor exceeds a capacity
 beyond the solver's feasibility tolerance, no flow is feasible, with or
 without the lower bound, and the step returns zero flows with those capacity
 rows as its certificate. Only otherwise does it stack the cost and
-feasibility constraints into a quadratic program and solve it.
+feasibility constraints into a quadratic program and solve it, starting from
+the outlets-only split: the demand spread evenly over the outlets and none
+on the inlets. Outlet flows only lower densities, so once no capacity row is
+blocked that point usually meets every row and the solver runs no phase-one
+LP; where it breaks a row, the solver's phase one is the fallback.
 """
 
 from __future__ import annotations
@@ -278,6 +282,21 @@ def _closed_form(
     return sol
 
 
+def _outlets_only(b: np.ndarray, n_tau: int, d0: float) -> np.ndarray | None:
+    """The start that ``control_step`` hands the solver: demand ``d0`` split
+    evenly over the outlet columns of ``b`` (those with a negative entry),
+    zero on every inlet, at each of the ``n_tau`` horizon steps. None when
+    ``b`` has no outlet column. The outlet columns of ``A^m B`` are <= 0,
+    so this point leaves every predicted density at or below its free
+    response.
+    """
+    outlets = (np.asarray(b) < 0).any(axis=0)
+    n_outlets = int(outlets.sum())
+    if n_outlets == 0:
+        return None
+    return np.tile(np.where(outlets, d0 / n_outlets, 0.0), n_tau)
+
+
 @dataclass(frozen=True)
 class ControlDiagnostics:
     """The solve whose flows were applied, the demand they meet, and whether
@@ -305,6 +324,10 @@ def control_step(
     even split when it is the exact optimum (``_even_split``, optimal with 0
     iterations), and zero flows when a capacity row is blocked under either
     bound (``_blocked_capacity``, infeasible with those rows as certificate).
+    Every solve of the program, demand probes included, starts from the
+    outlets-only split of its own demand (``_outlets_only``), which
+    ``solve_qp`` vets and, when it breaks a row, replaces by its least-norm
+    or phase-one start; so a feasible binding step usually runs no LP.
 
     If the requested demand is infeasible for the current state and
     ``enforce_density_lower_bound`` is set, the demand is relaxed to the
@@ -326,11 +349,14 @@ def control_step(
     pm = build_prediction(a, b, config.n_tau)
     problem = build_qp(pm, state, config)
 
+    def solve(program: QpProblem, d0: float) -> QpSolution:
+        return solve_qp(program, initial_point=_outlets_only(b, pm.n_tau, d0))
+
     def solve_with_demand(d0: float) -> QpSolution:
-        return solve_qp(replace(problem, eq_rhs=np.full(pm.n_tau, float(d0))))
+        return solve(replace(problem, eq_rhs=np.full(pm.n_tau, float(d0))), d0)
 
     # build_qp already asks for d0 at every horizon step
-    sol = solve_qp(problem)
+    sol = solve(problem, config.d0)
     d0_applied, fallback = config.d0, False
     if sol.status is SolveStatus.INFEASIBLE:
         # without the lower bound, zero demand is infeasible too (docstring)

@@ -233,9 +233,10 @@ def solve_qp(
 
     The method starts from the first feasible one of ``initial_point`` (a
     hint, ignored when infeasible), the least-norm equality point and the
-    phase-one point of least worst violation. When none is feasible the
-    problem is infeasible, and the rows that the phase-one point violates
-    are its certificate (every row if the LP failed). On convergence the
+    phase-one point of least worst violation; each is computed only when
+    the ones before it fail. When none is feasible the problem is
+    infeasible, and the rows that the phase-one point violates are its
+    certificate (every row if the LP failed). On convergence the
     point and multipliers are corrected once from their KKT residuals on
     the final working set, before the optimality test. Degenerate choices
     (which constraint to activate or drop) are broken by smallest row
@@ -252,9 +253,6 @@ def solve_qp(
     b_limit = feasibility_limit(b)
     h_limit = feasibility_limit(h)
 
-    # QpProblem guarantees independent equality rows, so they are consistent.
-    u_eq = np.linalg.lstsq(a, b, rcond=None)[0] if m_eq else np.zeros(n)
-
     def violated_rows(u: np.ndarray) -> np.ndarray:
         return np.flatnonzero(g @ u - h > h_limit)
 
@@ -268,13 +266,16 @@ def solve_qp(
         cand = np.asarray(initial_point, dtype=float).reshape(-1)
         if cand.size == n and is_feasible(cand):
             u = cand.copy()
-    if u is None and is_feasible(u_eq):
-        u = u_eq.copy()
     if u is None:
-        u = _phase_one(a, b, g, h, n)
-        if u is None or not is_feasible(u):
-            bad = range(m_ineq) if u is None else violated_rows(u)
-            return QpSolution(SolveStatus.INFEASIBLE, infeasible_ineq_rows=tuple(map(int, bad)))
+        # QpProblem guarantees independent equality rows, so they are consistent.
+        u = np.linalg.lstsq(a, b, rcond=None)[0] if m_eq else np.zeros(n)
+        if not is_feasible(u):
+            u = _phase_one(a, b, g, h, n)
+            if u is None or not is_feasible(u):
+                bad = range(m_ineq) if u is None else violated_rows(u)
+                return QpSolution(
+                    SolveStatus.INFEASIBLE, infeasible_ineq_rows=tuple(map(int, bad))
+                )
 
     working: list[int] = []  # active inequality rows, kept sorted
     iterations = 0

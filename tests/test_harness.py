@@ -144,7 +144,11 @@ class TestRun:
 
     def test_binding_capacity_regime(self):
         # the city preset at ten times its demand: capacity binds, so runs take
-        # the active-set, phase-one and infeasible paths of the solver
+        # the active-set and infeasible paths. The feasible steps start from
+        # the outlets-only split, which no row here rejects (seed 1's first
+        # phase-one LP is at state.step 24); test_mpc's
+        # TestOutletsOnlyStart::test_phase_one_remains_the_fallback covers
+        # phase one
         g = philadelphia_noir(seed=1)
         log = run_simulation(g, SimConfig(steps=20, seed=1, d0=1000.0))
         optimal = [rec for rec in log.records if rec.status == "optimal"]

@@ -18,13 +18,16 @@ from noirsim.mpc import (
     MpcConfig,
     _blocked_capacity,
     _horizon_reach,
+    _outlets_only,
     build_prediction,
     build_qp,
     control_step,
 )
 from noirsim.qp import SolveStatus, feasibility_limit, kkt_residuals, solve_qp
 
-from helpers import chain_graph, iterate_prediction, tiny_graph
+from noirsim.graph import RoadClass, build_graph
+
+from helpers import ATTR, chain_graph, iterate_prediction, tiny_graph
 
 
 def chain_ab(p_values=(0.5, 0.5)):
@@ -219,7 +222,7 @@ class TestControlStep:
         # only in the right-hand side of the equality rows
         import noirsim.mpc as mpc
 
-        built, solved = [], []
+        built, solved, starts = [], [], []
 
         def counting_build(*args):
             built.append(build_qp(*args))
@@ -227,6 +230,7 @@ class TestControlStep:
 
         def recording_solve(problem, **kwargs):
             solved.append(problem)
+            starts.append(kwargs["initial_point"])
             return solve_qp(problem, **kwargs)
 
         monkeypatch.setattr(mpc, "build_qp", counting_build)
@@ -240,9 +244,11 @@ class TestControlStep:
         assert len(built) == 1
         assert len(solved) == 10
         assert [p.eq_rhs[0] for p in solved[:2]] == [100.0, 0.0]
-        for probe in solved:
+        for probe, start in zip(solved, starts):
             assert probe.ineq_matrix is built[0].ineq_matrix
             assert probe.ineq_rhs is built[0].ineq_rhs
+            # each probe starts from its own demand, all of it on the outlet
+            assert np.array_equal(start, [0.0, probe.eq_rhs[0]])
 
     @pytest.mark.parametrize("lower_bound", [False, True])
     def test_totally_infeasible_reports_zero_flow(self, monkeypatch, lower_bound):
@@ -385,6 +391,109 @@ class TestEvenSplitFastPath:
         for sol in solutions:
             assert sol.status is SolveStatus.OPTIMAL
             assert sol.n_iterations == 0
+
+
+def two_outlet_chain():
+    """The chain 1 -> 5 -> 4 -> 2 with a second outlet, 3, fed by road 5,
+    and no movement (p = 0): columns inlet 1, outlets 2 and 3; rows roads 4
+    and 5."""
+    g = build_graph(
+        [
+            (RoadClass.INLET, None),
+            (RoadClass.OUTLET, None),
+            (RoadClass.OUTLET, None),
+            (RoadClass.INTERIOR, ATTR),
+            (RoadClass.INTERIOR, ATTR),
+        ],
+        [(1, 5), (5, 4), (4, 2), (5, 3)],
+    )
+    return assemble_state_matrix(np.zeros(2), np.zeros((2, 2))), assemble_input_matrix(g)
+
+
+class TestOutletsOnlyStart:
+    """Every program solve starts from the outlets-only split: its demand
+    spread evenly over the outlets, nothing on the inlets. On a feasible
+    binding step that point usually meets every row, so no phase-one LP
+    runs; when it breaks one, phase one is still the fallback."""
+
+    def test_split_over_the_outlet_columns(self):
+        _, b = two_outlet_chain()
+        assert np.array_equal(_outlets_only(b, 2, 10.0), [0.0, 5.0, 5.0] * 2)
+        assert _outlets_only(np.abs(b), 2, 10.0) is None
+
+    def test_feasible_binding_step_runs_no_phase_one(self, monkeypatch):
+        import noirsim.harness as harness
+        import noirsim.mpc as mpc
+        import noirsim.qp as qp
+
+        calls = []
+
+        def recording_control(*args):
+            calls.append(args)
+            return control_step(*args)
+
+        monkeypatch.setattr(harness, "control_step", recording_control)
+        # ten times the city preset's demand: from state.step 1 on, seed 1's
+        # steps build the program and capacity binds
+        harness.run_simulation(philadelphia_noir(seed=1), SimConfig(steps=2, seed=1, d0=1000.0))
+        state, a, b, cfg = calls[1]
+        assert state.step == 1
+
+        built, lps, linprog = [], [], qp.linprog
+
+        def counting_prediction(*args):
+            built.append(build_prediction(*args))
+            return built[-1]
+
+        def counting_linprog(*args, **kwargs):
+            lps.append(kwargs)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(mpc, "build_prediction", counting_prediction)
+        monkeypatch.setattr(qp, "linprog", counting_linprog)
+        s, diag = control_step(state, a, b, cfg)
+        sol = diag.solution
+        assert len(built) == 1 and not lps
+        assert sol.status is SolveStatus.OPTIMAL and sol.active_set
+        # the same program without a hint: the least-norm point is the even
+        # split, which broke a row, so the solver runs phase one
+        reference = solve_qp(build_qp(built[0], state, cfg))
+        assert len(lps) == 1
+        assert reference.status is sol.status
+        assert np.abs(s - reference.u_star[: b.shape[1]]).max() <= 1e-9
+
+    def test_phase_one_remains_the_fallback(self, monkeypatch):
+        # Road 5 holds 10 vehicles against a capacity of 3 and only outlet 3
+        # drains it. The outlets-only split (0, 5, 5) leaves it at 5 and the
+        # even split at 10, so both break its capacity row 4 (after three
+        # flow-sign rows and road 4's row 3); (0, 3, 7) meets every row
+        import noirsim.mpc as mpc
+        import noirsim.qp as qp
+
+        starts, lps, linprog = [], [], qp.linprog
+
+        def recording_solve(problem, **kwargs):
+            starts.append(kwargs["initial_point"])
+            return solve_qp(problem, **kwargs)
+
+        def counting_linprog(*args, **kwargs):
+            lps.append(kwargs)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(mpc, "solve_qp", recording_solve)
+        monkeypatch.setattr(qp, "linprog", counting_linprog)
+        a, b = two_outlet_chain()
+        state = TrafficState(np.array([0.0, 10.0]))
+        cfg = MpcConfig(d0=10.0, x_max=np.array([100.0, 3.0]), n_tau=1)
+        s, diag = control_step(state, a, b, cfg)
+        assert np.array_equal(starts, [[0.0, 5.0, 5.0]])
+        problem = build_qp(build_prediction(a, b, cfg.n_tau), state, cfg)
+        breaks = problem.ineq_matrix @ starts[0] - problem.ineq_rhs > 0
+        assert np.array_equal(np.flatnonzero(breaks), [4])
+        assert diag.solution.status is SolveStatus.OPTIMAL
+        assert len(lps) == 1
+        assert s == pytest.approx([0.0, 3.0, 7.0], abs=1e-9)
+        assert diag.solution.active_set == (0, 4)
 
 
 class TestSparseStateMatrix:

@@ -295,6 +295,43 @@ class TestControlStep:
         nxt = step(state, a, b, s)
         assert (nxt.densities >= -1e-8).all()
 
+    def test_lower_bound_program_ends_optimal(self, monkeypatch):
+        # Three times the city preset's demand under the lower bound: the
+        # program of the control call at state.step 29 (210 variables, 2,380
+        # rows) once cycled to the iteration limit, dropping a flow-sign row
+        # and re-adding it at a zero-length step although it depended on the
+        # working rows. The rank test refuses such a row. The limit of 500
+        # iterations ends a cycle quickly.
+        import noirsim.harness as harness
+        import noirsim.mpc as mpc
+
+        class Reached(Exception):
+            pass
+
+        def stopping_control(state, *args):
+            if state.step == 29:
+                raise Reached(state, *args)
+            return control_step(state, *args)
+
+        monkeypatch.setattr(harness, "control_step", stopping_control)
+        cfg = SimConfig(seed=2, d0=300, steps=30, enforce_density_lower_bound=True)
+        with pytest.raises(Reached) as reached:
+            harness.run_simulation(philadelphia_noir(seed=1), cfg)
+        state, a, b, mpc_cfg = reached.value.args
+
+        solved = []
+
+        def limited_solve(problem, **kwargs):
+            solved.append(problem)
+            return solve_qp(problem, max_iter=500, **kwargs)
+
+        monkeypatch.setattr(mpc, "solve_qp", limited_solve)
+        _, diag = control_step(state, a, b, mpc_cfg)
+        sol = diag.solution
+        assert solved[0].ineq_matrix.shape == (2380, 210)
+        assert sol.status is SolveStatus.OPTIMAL and not diag.fallback_used
+        assert sol.kkt.worst() <= 1e-8
+
 
 class TestEvenSplitFastPath:
     """The even split is returned without the dense model only when it breaks
@@ -708,8 +745,12 @@ class TestCapacityCertificate:
             # through the lower-bound block, while the capacity block alone
             # would give a limit of about 1.1e-7. Road 4's excess of 1e-3 is
             # within the program's limit of about 1e-2, so the solver does
-            # not call the program infeasible (it ends at its iteration
-            # limit), and a certificate on the smaller limit would be wrong
+            # not call the program infeasible, and a certificate on the
+            # smaller limit would be wrong. Its start breaks the inlet's
+            # flow-sign row 0 and road 4's capacity row 3 by 5e-4 each; both
+            # bound the inlet's flow alone, so each depends on the other. Once
+            # row 3 is held the rank test refuses row 0, and the solve ends
+            # non-optimal, with row 0 broken by 1e-3
             pytest.param(
                 (1e6 + 10.0, 2.0), (1e6, 2.0 + 1e-3), True, False, id="lower-bound-scale"
             ),
@@ -736,6 +777,8 @@ class TestCapacityCertificate:
         full = solve_qp(build_qp(build_prediction(a, b, cfg.n_tau), state, cfg))
         assert (full.status is SolveStatus.INFEASIBLE) is blocked
         assert diag.solution.status is full.status
+        # a handful of iterations, not a cycle of drops and re-adds to the limit
+        assert full.n_iterations <= 5 and diag.solution.n_iterations <= 5
         if blocked:
             assert not built
             assert diag.solution.infeasible_ineq_rows == (3,)

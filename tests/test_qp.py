@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from noirsim.qp import KktResiduals, QpProblem, SolveStatus, kkt_residuals, solve_qp
+from noirsim.qp import (
+    KktResiduals,
+    QpProblem,
+    SolveStatus,
+    _WorkingSet,
+    kkt_residuals,
+    solve_qp,
+)
 
 from helpers import enumerate_qp, random_feasible_qp
 
@@ -59,6 +67,16 @@ class TestSolve:
         assert sol.u_star is not None
         assert sol.kkt is not None
 
+    def test_failed_schur_factor_ends_the_solve(self):
+        # the rows are independent (singular values 1.4 and 7e-10), but
+        # S = C C' rounds to singular, so its Cholesky factor fails: the
+        # solve ends non-optimal at its start, without raising
+        problem = QpProblem(np.eye(2), np.zeros(2), [[1.0, 0.0], [1.0, 1e-9]], [1.0, 1.0])
+        sol = solve_qp(problem)
+        assert sol.status is SolveStatus.MAX_ITERATIONS
+        assert sol.n_iterations == 0
+        assert sol.kkt.primal_equality <= 1e-8
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             QpProblem(np.eye(2), np.zeros(3))
@@ -96,6 +114,73 @@ class TestSolve:
         assert a_ub.shape == (m_ineq, problem.n_variables + 1)
         assert a_ub.nnz == np.count_nonzero(problem.ineq_matrix) + m_ineq
         assert scipy.sparse.issparse(calls[0]["A_eq"])
+
+
+def spd_working_set(rng, n, m_eq, m_ineq):
+    """A random SPD, non-identity hessian and independent rows ``c``: the
+    first ``m_eq`` are the equality rows, the rest enter as working rows."""
+    root = rng.standard_normal((n, n))
+    hessian = root @ root.T + np.diag(rng.uniform(0.1, 10.0, n))
+    c = rng.standard_normal((m_eq + m_ineq, n))
+    problem = QpProblem(hessian, np.zeros(n), c[:m_eq], np.zeros(m_eq))
+    ws = _WorkingSet(problem.hessian_factor, problem.eq_matrix)
+    for i, row in enumerate(c[m_eq:]):
+        assert ws.try_add(i, row)
+    return problem, ws, c
+
+
+class TestRangeSpaceStep:
+    """Each iteration solves its KKT system through the Schur complement of
+    its rows, S = C H⁻¹ C', on the Cholesky factor that QpProblem keeps."""
+
+    def test_problem_keeps_the_hessian_factor(self):
+        problem, _, _ = spd_working_set(np.random.default_rng(0), 5, 1, 0)
+        factor = problem.hessian_factor
+        assert np.array_equal(factor, np.tril(factor))
+        scale = np.abs(problem.hessian).max()
+        assert np.abs(factor @ factor.T - problem.hessian).max() <= 1e-12 * scale
+
+    def test_matches_the_bordered_solve(self):
+        rng = np.random.default_rng(14)
+        for trial in range(40):
+            n = int(rng.integers(2, 12))
+            m_eq = int(rng.integers(0, 3))
+            m_ineq = int(rng.integers(0, n - m_eq + 1))
+            problem, ws, c = spd_working_set(rng, n, m_eq, m_ineq)
+            if m_ineq and trial % 2:
+                # a row leaves: the factor of the rows that remain is rebuilt
+                j = int(rng.integers(m_ineq))
+                ws.drop(j)
+                c = np.delete(c, m_eq + j, axis=0)
+            m = c.shape[0]
+            hessian = problem.hessian
+            r, residual = rng.standard_normal(n), rng.standard_normal(m)
+            bordered = np.block([[hessian, c.T], [c, np.zeros((m, m))]])
+            reference = np.linalg.solve(bordered, np.concatenate([r, residual]))
+            y = solve_triangular(problem.hessian_factor, r, lower=True)
+            p, mu = ws.step(y, residual)
+            got = np.concatenate([p, mu])
+            assert np.abs(got - reference).max() <= 1e-9 * np.abs(reference).max()
+
+    def test_rank_test_refuses_a_dependent_row(self):
+        rng = np.random.default_rng(3)
+        _, ws, c = spd_working_set(rng, 8, 2, 3)
+        wt, schur = ws.wt, ws.schur
+        # a combination of an equality row and two working rows
+        combination = 3.0 * c[0] - 2.0 * c[2] + 0.5 * c[4]
+        assert not ws.try_add(9, combination)
+        assert ws.rows == [0, 1, 2]
+        assert ws.wt is wt and ws.schur is schur
+        # a part outside their span of 1e-4 of the row's size is independent
+        outside = rng.standard_normal(8)
+        outside -= c.T @ np.linalg.lstsq(c.T, outside, rcond=None)[0]
+        outside *= 1e-4 * np.linalg.norm(combination) / np.linalg.norm(outside)
+        row = combination + outside
+        assert ws.try_add(9, row)
+        assert ws.rows == [0, 1, 2, 9]
+        # the factor grew by the pivot's row: it is that of the five rows
+        gram = ws.wt @ ws.wt.T
+        assert np.abs(ws.schur @ ws.schur.T - gram).max() <= 1e-10 * np.abs(gram).max()
 
 
 class TestKktResiduals:

@@ -18,10 +18,10 @@ the rows already held, so the working set stays linearly independent and a
 blocking row that depends on it only by round-off cannot cycle the method.
 A solution reported optimal carries KKT residuals at or
 below ``_TOL``; one refinement solve on the final working set keeps them at
-round-off when the multipliers are large. ``QpProblem`` rejects linearly
-dependent equality rows (the standard assumption of equality-constrained and
-active-set QP), so the equalities are always consistent. One test decides
-feasibility: no row violated by more than ``feasibility_limit`` of its
+round-off when the multipliers are large. ``QpProblem`` admits its equality
+rows by the working rows' rule and keeps their factor, which starts every
+solve's working set and least-norm start (in the hessian's metric). One test
+decides feasibility: no row violated by more than ``feasibility_limit`` of its
 block's right-hand side, ``_TOL * (1 + max |rhs|)``. When no start passes
 it, the problem comes back infeasible with a certificate: the inequality
 rows still violated beyond that limit at the point of least worst violation.
@@ -89,8 +89,9 @@ class QpProblem:
     Construction normalizes and checks the input once: an absent constraint
     block becomes empty and a 1-D block one row; a float array already in
     shape is kept, not copied. Mismatched shapes, a hessian that is not
-    symmetric positive definite, or linearly dependent equality rows raise
-    ``ValueError``.
+    symmetric positive definite, or equality rows that the working set's
+    pivot rule refuses (dependent, or independent by at most 1e-5 of their
+    norm in the metric of ``H⁻¹``, as ``[[1, 0], [1, 1e-6]]``) raise ``ValueError``.
     """
 
     hessian: np.ndarray
@@ -99,9 +100,10 @@ class QpProblem:
     eq_rhs: np.ndarray | None = None
     ineq_matrix: np.ndarray | None = None
     ineq_rhs: np.ndarray | None = None
-    # The lower Cholesky factor L of the hessian, H = L L', kept from the
-    # positive-definiteness check for the solver's range-space step.
+    # Kept from the checks for the range-space step: the hessian's lower Cholesky
+    # factor L, H = L L', and the equality rows' read-only wt and schur (_WorkingSet).
     hessian_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    eq_factor: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("linear", "eq_rhs", "ineq_rhs"):
@@ -125,15 +127,18 @@ class QpProblem:
             raise ValueError("equality system dimensions are inconsistent")
         if self.ineq_matrix.shape[1] != n or self.ineq_matrix.shape[0] != self.ineq_rhs.size:
             raise ValueError("inequality system dimensions are inconsistent")
-        m_eq = self.eq_matrix.shape[0]
-        if m_eq and np.linalg.matrix_rank(self.eq_matrix) < m_eq:
-            raise ValueError("equality rows must be linearly independent")
         try:
             object.__setattr__(self, "hessian_factor", np.linalg.cholesky(h))
         except np.linalg.LinAlgError:
             raise ValueError(
                 "hessian must be positive definite (symmetric PSD with full rank)"
             ) from None
+        ws = _WorkingSet(self.hessian_factor, np.zeros((0, n)), np.zeros((0, 0)))
+        if not all(ws.try_add(i, row) for i, row in enumerate(self.eq_matrix)):
+            raise ValueError("equality rows must be linearly independent")
+        for kept in (ws.wt, ws.schur):  # shared by every solve's working set
+            kept.setflags(write=False)
+        object.__setattr__(self, "eq_factor", (ws.wt, ws.schur))
 
     @property
     def n_variables(self) -> int:
@@ -211,16 +216,15 @@ class _WorkingSet:
     A row enters only when it is independent of the rows already in, so ``S``
     stays positive definite; entering extends ``schur`` by one row, the
     pivot of the independence test (Gill, Golub, Murray & Saunders, Math.
-    Comp. 28, 1974). Leaving refactors ``S``. A factorization that fails
-    raises ``np.linalg.LinAlgError``.
+    Comp. 28, 1974). Only rows added after construction leave, which refactors
+    ``S``. A factorization that fails raises ``np.linalg.LinAlgError``.
     """
 
-    def __init__(self, hessian_factor: np.ndarray, eq_matrix: np.ndarray) -> None:
+    def __init__(self, hessian_factor: np.ndarray, wt: np.ndarray, schur: np.ndarray) -> None:
         self.hessian_factor = hessian_factor
-        self.n_eq = eq_matrix.shape[0]
-        self.rows: list[int] = []  # working inequality rows, in factor order
-        self.wt = _lower_solve(hessian_factor, eq_matrix.T).T
-        self.schur = np.linalg.cholesky(self.wt @ self.wt.T)
+        self.wt, self.schur = wt, schur
+        self.n_eq = wt.shape[0]
+        self.rows: list[int] = []  # rows added since construction, in factor order
 
     def step(self, y: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The solution ``(p, mu)`` of ``H p + C'mu = L y`` and ``C p = residual``.
@@ -313,7 +317,8 @@ def solve_qp(
     phase-one point of least worst violation; each is computed only when
     the ones before it fail. When none is feasible the problem is
     infeasible, and the rows that the phase-one point violates are its
-    certificate (every row if the LP failed).
+    certificate (every row if the LP failed). The least-norm point is
+    ``H⁻¹E'(E H⁻¹ E')⁻¹b``, the least-squares point when ``H = I``.
 
     Each iteration solves the KKT system of the working set by its range
     space (see ``_WorkingSet``). The ratio test takes the blocking rows in
@@ -346,14 +351,14 @@ def solve_qp(
             return False
         return violated_rows(u).size == 0
 
+    ws = _WorkingSet(problem.hessian_factor, *problem.eq_factor)
     u = None
     if initial_point is not None:
         cand = np.asarray(initial_point, dtype=float).reshape(-1)
         if cand.size == n and is_feasible(cand):
             u = cand.copy()
     if u is None:
-        # QpProblem guarantees independent equality rows, so they are consistent.
-        u = np.linalg.lstsq(a, b, rcond=None)[0] if m_eq else np.zeros(n)
+        u = ws.step(np.zeros(n), b)[0]
         if not is_feasible(u):
             u = _phase_one(a, b, g, h, n)
             if u is None or not is_feasible(u):
@@ -368,15 +373,11 @@ def solve_qp(
     iterations = 0
     mu = np.zeros(m_eq)
     converged = False
-    try:
-        ws = _WorkingSet(factor, a)
-    except np.linalg.LinAlgError:
-        ws = None
 
     def working_residual(u: np.ndarray) -> np.ndarray:
         return np.concatenate([b - a @ u, h[ws.rows] - g[ws.rows] @ u])
 
-    while ws is not None and iterations < max_iter:
+    while iterations < max_iter:
         iterations += 1
         p, mu = ws.step(-(factor.T @ u + linv_c), working_residual(u))
         step_ref = 1.0 + float(np.abs(u).max(initial=0.0))
@@ -424,11 +425,10 @@ def solve_qp(
 
     # The multipliers belong to the working set only when the last KKT solve
     # used it; an iteration-limit exit may follow a change to the set.
-    working = [] if ws is None else ws.rows
     nu_full = mu[:m_eq]
     lam_full = np.zeros(m_ineq)
-    if mu.size == m_eq + len(working):
-        lam_full[working] = np.maximum(mu[m_eq:], 0.0)
+    if mu.size == m_eq + len(ws.rows):
+        lam_full[ws.rows] = np.maximum(mu[m_eq:], 0.0)
     kkt = kkt_residuals(problem, u, nu_full, lam_full)
     status = SolveStatus.OPTIMAL if converged and kkt.within(_TOL) else SolveStatus.MAX_ITERATIONS
     return QpSolution(
@@ -439,5 +439,5 @@ def solve_qp(
         eq_duals=nu_full,
         ineq_duals=lam_full,
         n_iterations=iterations,
-        active_set=tuple(sorted(working)),
+        active_set=tuple(sorted(ws.rows)),
     )

@@ -67,15 +67,17 @@ class TestSolve:
         assert sol.u_star is not None
         assert sol.kkt is not None
 
-    def test_failed_schur_factor_ends_the_solve(self):
-        # the rows are independent (singular values 1.4 and 7e-10), but
-        # S = C C' rounds to singular, so its Cholesky factor fails: the
-        # solve ends non-optimal at its start, without raising
-        problem = QpProblem(np.eye(2), np.zeros(2), [[1.0, 0.0], [1.0, 1e-9]], [1.0, 1.0])
+    def test_nearly_dependent_equalities_rejected(self):
+        # the rows' singular values are 1.4 and 7e-10: the pivot rule that
+        # admits working rows refuses the second, so the program is refused
+        # on construction rather than left to a solve that cannot factor it
+        with pytest.raises(ValueError, match="linearly independent"):
+            QpProblem(np.eye(2), np.zeros(2), [[1.0, 0.0], [1.0, 1e-9]], [1.0, 1.0])
+        # independent by 1e-4 of its norm, the second row is admitted
+        problem = QpProblem(np.eye(2), np.zeros(2), [[1.0, 0.0], [1.0, 1e-4]], [1.0, 2.0])
         sol = solve_qp(problem)
-        assert sol.status is SolveStatus.MAX_ITERATIONS
-        assert sol.n_iterations == 0
-        assert sol.kkt.primal_equality <= 1e-8
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.u_star == pytest.approx([1.0, 1e4], rel=1e-9)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -90,7 +92,7 @@ class TestSolve:
             QpProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
 
     def test_phase_one_lp_is_sparse(self, monkeypatch):
-        # the least-squares start (50, 50) breaks u1 <= 30, so phase one runs;
+        # the least-norm start (50, 50) breaks u1 <= 30, so phase one runs;
         # its LP gets [G, -1], one column for the worst violation, as a sparse
         # matrix, never a dense one
         import scipy.sparse
@@ -123,7 +125,7 @@ def spd_working_set(rng, n, m_eq, m_ineq):
     hessian = root @ root.T + np.diag(rng.uniform(0.1, 10.0, n))
     c = rng.standard_normal((m_eq + m_ineq, n))
     problem = QpProblem(hessian, np.zeros(n), c[:m_eq], np.zeros(m_eq))
-    ws = _WorkingSet(problem.hessian_factor, problem.eq_matrix)
+    ws = _WorkingSet(problem.hessian_factor, *problem.eq_factor)
     for i, row in enumerate(c[m_eq:]):
         assert ws.try_add(i, row)
     return problem, ws, c
@@ -131,14 +133,42 @@ def spd_working_set(rng, n, m_eq, m_ineq):
 
 class TestRangeSpaceStep:
     """Each iteration solves its KKT system through the Schur complement of
-    its rows, S = C H⁻¹ C', on the Cholesky factor that QpProblem keeps."""
+    its rows, S = C H⁻¹ C', on the factors that QpProblem keeps."""
 
-    def test_problem_keeps_the_hessian_factor(self):
-        problem, _, _ = spd_working_set(np.random.default_rng(0), 5, 1, 0)
-        factor = problem.hessian_factor
-        assert np.array_equal(factor, np.tril(factor))
-        scale = np.abs(problem.hessian).max()
-        assert np.abs(factor @ factor.T - problem.hessian).max() <= 1e-12 * scale
+    def test_problem_keeps_the_equality_factor(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            n = int(rng.integers(2, 12))
+            m_eq = int(rng.integers(1, n + 1))
+            problem, _, _ = spd_working_set(rng, n, m_eq, 0)
+            factor = problem.hessian_factor
+            assert np.array_equal(factor, np.tril(factor))
+            scale = np.abs(problem.hessian).max()
+            assert np.abs(factor @ factor.T - problem.hessian).max() <= 1e-12 * scale
+            # R R' = E H⁻¹ E' for the Schur factor R, which no solve may write to
+            wt, schur = problem.eq_factor
+            assert np.array_equal(schur, np.tril(schur))
+            e = problem.eq_matrix
+            gram = e @ np.linalg.solve(problem.hessian, e.T)
+            assert np.abs(schur @ schur.T - gram).max() <= 1e-10 * np.abs(gram).max()
+            assert not wt.flags.writeable and not schur.flags.writeable
+
+    def test_least_norm_start_is_in_the_hessian_metric(self):
+        # c = 0 and no inequality rows: the start is the optimum,
+        # H⁻¹E'(E H⁻¹ E')⁻¹b, and not the least-squares point E'(E E')⁻¹b
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n = int(rng.integers(2, 12))
+            m_eq = int(rng.integers(1, n + 1))
+            root = rng.standard_normal((n, n))
+            hessian = root @ root.T + np.diag(rng.uniform(0.1, 10.0, n))
+            e, b = rng.standard_normal((m_eq, n)), rng.standard_normal(m_eq)
+            sol = solve_qp(QpProblem(hessian, np.zeros(n), e, b))
+            assert sol.status is SolveStatus.OPTIMAL
+            assert sol.n_iterations == 1  # the start needs no step
+            h_inv_et = np.linalg.solve(hessian, e.T)
+            expected = h_inv_et @ np.linalg.solve(e @ h_inv_et, b)
+            assert np.abs(sol.u_star - expected).max() <= 1e-9 * np.abs(expected).max()
 
     def test_matches_the_bordered_solve(self):
         rng = np.random.default_rng(14)

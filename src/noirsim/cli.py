@@ -28,6 +28,7 @@ from .harness import (
     generate_grid_noir,
     run_simulation,
 )
+from .qp import SolveStatus
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -104,7 +105,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
 
     paths = emit_report(log, args.out)
-    infeasible = sum(1 for rec in log.records if rec.status == "infeasible")
+    infeasible = sum(1 for rec in log.records if rec.status == SolveStatus.INFEASIBLE.value)
     last = log.records[-1]
     print(
         f"ran {len(log.records)} steps; final inflow {last.sum_u:.3f}, "

@@ -25,6 +25,9 @@ decides feasibility: no row violated by more than ``feasibility_limit`` of its
 block's right-hand side, ``_TOL * (1 + max |rhs|)``. When no start passes
 it, the problem comes back infeasible with a certificate: the inequality
 rows still violated beyond that limit at the point of least worst violation.
+All data must be finite: ``QpProblem`` refuses a non-finite ``c``, ``b`` or
+``h`` (an infinite one would lift the feasibility limit to infinity), and
+the solver ignores a non-finite start; the matrices are not checked.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ class QpProblem:
     Construction normalizes and checks the input once: an absent constraint
     block becomes empty and a 1-D block one row; a float array already in
     shape is kept, not copied. Mismatched shapes, a hessian that is not
-    symmetric positive definite, or equality rows that the working set's
+    symmetric positive definite, a non-finite entry in ``linear``,
+    ``eq_rhs`` or ``ineq_rhs``, or equality rows that the working set's
     pivot rule refuses (dependent, or independent by at most 1e-5 of their
     norm in the metric of ``H⁻¹``, as ``[[1, 0], [1, 1e-6]]``) raise ``ValueError``.
     """
@@ -109,6 +113,8 @@ class QpProblem:
         for name in ("linear", "eq_rhs", "ineq_rhs"):
             v = getattr(self, name)
             v = np.asarray(() if v is None else v, dtype=float)
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v if v.ndim == 1 else v.reshape(-1))
         n = self.n_variables
         for name in ("eq_matrix", "ineq_matrix"):
@@ -313,12 +319,12 @@ def solve_qp(
     """Solve a strictly convex QP with a primal active-set method.
 
     The method starts from the first feasible one of ``initial_point`` (a
-    hint, ignored when infeasible), the least-norm equality point and the
-    phase-one point of least worst violation; each is computed only when
-    the ones before it fail. When none is feasible the problem is
+    hint, ignored when infeasible or not finite), the least-norm equality
+    point ``H⁻¹E'(E H⁻¹ E')⁻¹b`` (the least-squares point when ``H = I``)
+    and the phase-one point of least worst violation; each is computed only
+    when the ones before it fail. When none is feasible the problem is
     infeasible, and the rows that the phase-one point violates are its
-    certificate (every row if the LP failed). The least-norm point is
-    ``H⁻¹E'(E H⁻¹ E')⁻¹b``, the least-squares point when ``H = I``.
+    certificate (every row if the LP failed).
 
     Each iteration solves the KKT system of the working set by its range
     space (see ``_WorkingSet``). The ratio test takes the blocking rows in
@@ -347,6 +353,8 @@ def solve_qp(
         return np.flatnonzero(g @ u - h > h_limit)
 
     def is_feasible(u: np.ndarray) -> bool:
+        if not np.isfinite(u).all():
+            return False
         if m_eq and float(np.abs(a @ u - b).max()) > b_limit:
             return False
         return violated_rows(u).size == 0

@@ -79,6 +79,36 @@ class TestSolve:
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.u_star == pytest.approx([1.0, 1e4], rel=1e-9)
 
+    def test_non_finite_hint_is_ignored(self):
+        # every comparison with NaN is False, so only a finiteness test keeps
+        # such a hint from passing as a feasible start
+        problem = budget_problem([[1.0, 0.0]], [30.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            sol = solve_qp(problem, initial_point=np.array([bad, 50.0]))
+            assert sol.status is SolveStatus.OPTIMAL
+            assert sol.u_star == pytest.approx([30.0, 70.0], abs=1e-8)
+
+    @pytest.mark.parametrize("block", ["linear", "eq_rhs", "ineq_rhs"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_vector_rejected(self, block, bad):
+        # an infinite right-hand side would make the feasibility limit
+        # infinite, and every start would pass it
+        data = {
+            "linear": np.zeros(2),
+            "eq_rhs": np.array([100.0]),
+            "ineq_rhs": np.array([0.0, 0.0, 30.0, 30.0]),
+        }
+        data[block][-1] = bad
+        with pytest.raises(ValueError, match=f"{block} must be finite"):
+            QpProblem(
+                np.eye(2),
+                data["linear"],
+                [[1.0, 1.0]],
+                data["eq_rhs"],
+                np.vstack([-np.eye(2), np.eye(2)]),
+                data["ineq_rhs"],
+            )
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             QpProblem(np.eye(2), np.zeros(3))

@@ -246,18 +246,19 @@ class _WorkingSet:
         return p, mu
 
     def try_add(self, row: int, g_row: np.ndarray) -> bool:
-        """Add inequality row ``row`` with coefficients ``g_row`` when it is
+        """Add row ``row`` with coefficients ``g_row`` when it is
         independent of the working rows, and say whether it was added.
 
         With ``z = L⁻¹g`` and ``R = schur``, the pivot ``‖z‖² - ‖R⁻¹W'z‖²``
         is the squared part of ``z`` outside the span of ``W``. At or below
-        ``_PIVOT_TOL`` of ``‖z‖²`` the row depends on the working rows.
+        ``_PIVOT_TOL`` of ``‖z‖²`` the row depends on the working rows; a
+        NaN pivot (a NaN coefficient) is refused too.
         """
         z = _lower_solve(self.hessian_factor, g_row)
         l_row = _lower_solve(self.schur, self.wt @ z)
         zz = float(z @ z)
         pivot = zz - float(l_row @ l_row)
-        if pivot <= _PIVOT_TOL * zz:
+        if not pivot > _PIVOT_TOL * zz:
             return False
         k = l_row.size
         schur = np.zeros((k + 1, k + 1))

@@ -48,8 +48,13 @@ class TestSolve:
 
     def test_dependent_equalities_rejected(self):
         # contradictory (u = 0 and u = 1) and duplicated (u1 + u2 = 100 twice)
-        # rows are both dependent, so neither program can be constructed
-        for eq, rhs in (([[1.0], [1.0]], [0.0, 1.0]), ([[1.0, 1.0], [1.0, 1.0]], [100.0, 100.0])):
+        # rows are both dependent, so neither program can be constructed; a
+        # row with a NaN coefficient gives a NaN pivot and is refused too
+        for eq, rhs in (
+            ([[1.0], [1.0]], [0.0, 1.0]),
+            ([[1.0, 1.0], [1.0, 1.0]], [100.0, 100.0]),
+            ([[1.0, np.nan]], [1.0]),
+        ):
             n = len(eq[0])
             with pytest.raises(ValueError, match="linearly independent"):
                 QpProblem(np.eye(n), np.zeros(n), eq, rhs)

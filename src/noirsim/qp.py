@@ -25,9 +25,11 @@ decides feasibility: no row violated by more than ``feasibility_limit`` of its
 block's right-hand side, ``_TOL * (1 + max |rhs|)``. When no start passes
 it, the problem comes back infeasible with a certificate: the inequality
 rows still violated beyond that limit at the point of least worst violation.
-All data must be finite: ``QpProblem`` refuses a non-finite ``c``, ``b`` or
-``h`` (an infinite one would lift the feasibility limit to infinity), and
-the solver ignores a non-finite start; the matrices are not checked.
+All data must be finite: ``QpProblem`` refuses a non-finite ``H``, ``A``,
+``G``, ``c``, ``b`` or ``h`` (an infinite right-hand side would lift the
+feasibility limit to infinity, and a NaN in a row makes every comparison
+with it False, so the row would pass the feasibility test at every point),
+and the solver ignores a non-finite start.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.optimize import linprog
 
 
@@ -92,8 +94,8 @@ class QpProblem:
     Construction normalizes and checks the input once: an absent constraint
     block becomes empty and a 1-D block one row; a float array already in
     shape is kept, not copied. Mismatched shapes, a hessian that is not
-    symmetric positive definite, a non-finite entry in ``linear``,
-    ``eq_rhs`` or ``ineq_rhs``, or equality rows that the working set's
+    symmetric positive definite, a non-finite entry in any block, or
+    equality rows that the working set's
     pivot rule refuses (dependent, or independent by at most 1e-5 of their
     norm in the metric of ``H⁻¹``, as ``[[1, 0], [1, 1e-6]]``) raise ``ValueError``.
     """
@@ -123,6 +125,9 @@ class QpProblem:
             object.__setattr__(self, name, m.reshape(1, -1) if m.ndim == 1 else m)
         h = np.asarray(self.hessian, dtype=float)
         object.__setattr__(self, "hessian", h)
+        for name in ("hessian", "eq_matrix", "ineq_matrix"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
         if h.shape != (n, n):
             raise ValueError(f"hessian shape {h.shape} does not match {n} variables")
@@ -133,12 +138,13 @@ class QpProblem:
             raise ValueError("equality system dimensions are inconsistent")
         if self.ineq_matrix.shape[1] != n or self.ineq_matrix.shape[0] != self.ineq_rhs.size:
             raise ValueError("inequality system dimensions are inconsistent")
-        try:
-            object.__setattr__(self, "hessian_factor", np.linalg.cholesky(h))
-        except np.linalg.LinAlgError:
-            raise ValueError(
-                "hessian must be positive definite (symmetric PSD with full rank)"
-            ) from None
+        # LAPACK directly, as in _lower_solve: the upper factor of the
+        # Fortran view h.T reads the lower triangle of h, and its transpose
+        # is the C-ordered lower factor, with no copy in either direction.
+        upper, info = dpotrf(h.T, lower=0, clean=1)
+        if info > 0:
+            raise ValueError("hessian must be positive definite (symmetric PSD with full rank)")
+        object.__setattr__(self, "hessian_factor", upper.T)
         ws = _WorkingSet(self.hessian_factor, np.zeros((0, n)), np.zeros((0, 0)))
         if not all(ws.try_add(i, row) for i, row in enumerate(self.eq_matrix)):
             raise ValueError("equality rows must be linearly independent")

@@ -49,11 +49,10 @@ class TestSolve:
     def test_dependent_equalities_rejected(self):
         # contradictory (u = 0 and u = 1) and duplicated (u1 + u2 = 100 twice)
         # rows are both dependent, so neither program can be constructed; a
-        # row with a NaN coefficient gives a NaN pivot and is refused too
+        # row with a NaN coefficient is refused as not finite (below)
         for eq, rhs in (
             ([[1.0], [1.0]], [0.0, 1.0]),
             ([[1.0, 1.0], [1.0, 1.0]], [100.0, 100.0]),
-            ([[1.0, np.nan]], [1.0]),
         ):
             n = len(eq[0])
             with pytest.raises(ValueError, match="linearly independent"):
@@ -113,6 +112,37 @@ class TestSolve:
                 np.vstack([-np.eye(2), np.eye(2)]),
                 data["ineq_rhs"],
             )
+
+    @pytest.mark.parametrize("block", ["hessian", "eq_matrix", "ineq_matrix"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_matrix_rejected(self, block, bad):
+        data = {
+            "hessian": np.eye(2),
+            "eq_matrix": np.array([[1.0, 1.0]]),
+            "ineq_matrix": np.vstack([-np.eye(2), np.eye(2)]),
+        }
+        data[block][-1, -1] = bad
+        with pytest.raises(ValueError, match=f"{block} must be finite"):
+            QpProblem(
+                data["hessian"],
+                np.zeros(2),
+                data["eq_matrix"],
+                [100.0],
+                data["ineq_matrix"],
+                [0.0, 0.0, 30.0, 30.0],
+            )
+
+    def test_non_finite_matrix_reproducers_rejected(self):
+        # a NaN passes the symmetry test (every comparison with it is False),
+        # and such a hessian used to solve to max_iterations at (nan, nan);
+        # a NaN row passed the feasibility test at every point, so the
+        # program below used to end max_iterations at (50, 50)
+        with pytest.raises(ValueError, match="hessian must be finite"):
+            QpProblem([[1.0, np.nan], [np.nan, 1.0]], np.zeros(2))
+        with pytest.raises(ValueError, match="ineq_matrix must be finite"):
+            QpProblem(np.eye(2), np.zeros(2), [[1.0, 1.0]], [100.0], [[np.nan, 0.0]], [30.0])
+        with pytest.raises(ValueError, match="eq_matrix must be finite"):
+            QpProblem(np.eye(2), np.zeros(2), [[1.0, np.nan]], [1.0])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -178,6 +208,8 @@ class TestRangeSpaceStep:
             problem, _, _ = spd_working_set(rng, n, m_eq, 0)
             factor = problem.hessian_factor
             assert np.array_equal(factor, np.tril(factor))
+            # C-ordered, so the triangular solves take its transpose uncopied
+            assert factor.flags.c_contiguous
             scale = np.abs(problem.hessian).max()
             assert np.abs(factor @ factor.T - problem.hessian).max() <= 1e-12 * scale
             # R R' = E H⁻¹ E' for the Schur factor R, which no solve may write to

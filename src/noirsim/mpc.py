@@ -8,16 +8,26 @@ is the even split ``d0 / n_input`` at every step. A step tries closed-form
 answers at both ends before the program. It first rolls that split forward
 with ``n_tau`` mat-vecs; when no predicted density breaks its capacity (or,
 under the lower bound, goes negative) the split is the exact optimum and the
-step returns it with its closed-form certificate. It then rolls the least
-density that any admissible flow leaves; when that floor exceeds a capacity
-beyond the solver's feasibility tolerance, no flow is feasible, with or
-without the lower bound, and the step returns zero flows with those capacity
-rows as its certificate. Only otherwise does it stack the cost and
-feasibility constraints into a quadratic program and solve it, starting from
-the outlets-only split: the demand spread evenly over the outlets and none
-on the inlets. Outlet flows only lower densities, so once no capacity row is
-blocked that point usually meets every row and the solver runs no phase-one
-LP; where it breaks a row, the solver's phase one is the fallback.
+step returns it with its closed-form certificate. It then rolls the horizon
+model itself with sparse products (``_horizon_reach``): the free responses
+``A^j x``, the blocks ``A^m B`` of the prediction's first block column, and
+the least and greatest density that any admissible flow leaves. When that
+floor exceeds a capacity beyond the solver's feasibility tolerance, no flow
+is feasible, with or without the lower bound, and the step returns zero
+flows with those capacity rows as its certificate. Only otherwise does it
+build a quadratic program, from the same roll (``build_qp``), and only from
+the rows that some admissible flow can break or hold active
+(``_binding_rows``): a capacity row whose ceiling stays below capacity, or
+a lower-bound row whose floor stays above zero, is left out. The solve
+starts from the outlets-only split: the demand spread evenly over the
+outlets and none on the inlets. Outlet flows only lower densities, so once
+no capacity row is blocked that point usually meets every row and the
+solver runs no phase-one LP; where it breaks a row, the solver's phase one
+is the fallback.
+
+``build_prediction`` forms the dense condensed model ``G``, ``H`` from
+``n_tau`` dense n x n powers of A. The controller does not call it; it is
+the reference that the roll is checked against.
 """
 
 from __future__ import annotations
@@ -81,9 +91,9 @@ def build_prediction(
 ) -> PredictionMatrices:
     """Stack the horizon prediction matrices for fixed (a, b).
 
-    ``a`` may be dense or sparse. A sparse ``a`` is densified here, the one
-    place where the state matrix becomes an n x n dense array: G and H are
-    dense, and only a step that the closed forms do not settle builds them.
+    ``a`` may be dense or sparse; a sparse one is densified, and G and H are
+    dense. ``control_step`` does not call this: it is the dense reference
+    for the program that ``build_qp`` builds from the sparse roll.
     """
     a = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -114,33 +124,53 @@ def build_prediction(
     return PredictionMatrices(G=g, H=h, n_tau=n_tau, n_state=n_state, n_input=n_input)
 
 
-def build_qp(pm: PredictionMatrices, state: TrafficState, config: MpcConfig) -> QpProblem:
+def build_qp(
+    free: np.ndarray, column: np.ndarray, config: MpcConfig, rows: np.ndarray | None = None
+) -> QpProblem:
     """Stack the horizon cost and constraints into a quadratic program.
 
-    Cost is 0.5 * ||U||^2 over the stacked boundary flows. Constraints: each
-    horizon step's flows sum to d0 (equality), U >= 0, and predicted
-    densities stay at or below capacity. With the lower bound enabled,
-    predicted densities are additionally kept nonnegative.
+    ``free`` holds the free responses ``A^(j+1) x`` as an ``(n_tau,
+    n_state)`` array and ``column`` the blocks ``A^j B`` of H's first block
+    column as ``(n_tau, n_state, n_input)``; H's block (j, c) is
+    ``column[j - c]`` for j >= c and zero above the block diagonal. Cost is
+    0.5 * ||U||^2 over the stacked boundary flows. Constraints: each horizon
+    step's flows sum to d0 (equality), U >= 0, and predicted densities stay
+    at or below capacity. With the lower bound enabled, predicted densities
+    are additionally kept nonnegative.
+
+    The full program's inequality rows are numbered as they stack: the
+    ``n_tau * n_input`` flow signs ``-U <= 0``; the capacity rows ``H U <=
+    x_max - free``, road r at horizon step j + 1 being row ``j * n_state +
+    r`` of the block; then, under the lower bound, ``-H U <= free`` in the
+    same order. ``rows``, in increasing order, picks the rows that the
+    program holds (all of them when None); only those are written, straight
+    into one array.
     """
-    x = state.densities
-    if x.size != pm.n_state:
-        raise ValueError(f"state size {x.size} does not match prediction ({pm.n_state})")
-    if config.x_max.size != pm.n_state:
-        raise ValueError(
-            f"capacity vector has {config.x_max.size} entries, expected {pm.n_state}"
-        )
+    n_tau, n_state, n_input = column.shape
+    if free.shape != (n_tau, n_state):
+        raise ValueError(f"free responses of shape {free.shape} do not match {(n_tau, n_state)}")
+    if config.x_max.size != n_state:
+        raise ValueError(f"capacity vector has {config.x_max.size} entries, expected {n_state}")
 
-    n = pm.n_tau * pm.n_input
-    eq = np.kron(np.eye(pm.n_tau), np.ones((1, pm.n_input)))
-    eq_rhs = np.full(pm.n_tau, float(config.d0))
-
-    free_response = pm.G @ x
-    cap_rhs = np.tile(config.x_max, pm.n_tau) - free_response
-    ineq = np.vstack([-np.eye(n), pm.H])
-    rhs = np.concatenate([np.zeros(n), cap_rhs])
+    n = n_tau * n_input
+    eq = np.kron(np.eye(n_tau), np.ones((1, n_input)))
+    eq_rhs = np.full(n_tau, float(config.d0))
+    rhs = [np.zeros(n), (config.x_max - free).ravel()]
     if config.enforce_density_lower_bound:
-        ineq = np.vstack([ineq, -pm.H])
-        rhs = np.concatenate([rhs, free_response])
+        rhs.append(free.ravel())
+    rhs = np.concatenate(rhs)
+    rows = np.arange(rhs.size) if rows is None else np.asarray(rows)
+
+    ineq = np.zeros((rows.size, n))
+    # the kept rows of one block and one horizon step are contiguous
+    edges = np.searchsorted(rows, np.arange(n, rhs.size + 1, n_state))
+    ineq[np.arange(edges[0]), rows[: edges[0]]] = -1.0
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        lower_bound, j = divmod(i, n_tau)
+        road = rows[lo:hi] - (n + i * n_state)
+        for c in range(j + 1):  # H's block (j, c)
+            part = column[j - c][road]
+            ineq[lo:hi, c * n_input : (c + 1) * n_input] = -part if lower_bound else part
 
     return QpProblem(
         hessian=np.eye(n),
@@ -148,12 +178,12 @@ def build_qp(pm: PredictionMatrices, state: TrafficState, config: MpcConfig) -> 
         eq_matrix=eq,
         eq_rhs=eq_rhs,
         ineq_matrix=ineq,
-        ineq_rhs=rhs,
+        ineq_rhs=rhs[rows],
     )
 
 
 def _even_split(
-    x: np.ndarray, a: np.ndarray | scipy.sparse.sparray, b: np.ndarray, config: MpcConfig
+    x: np.ndarray, a: scipy.sparse.sparray, b: np.ndarray, config: MpcConfig
 ) -> QpSolution | None:
     """The horizon program's closed-form solution when the even split breaks
     none of its rows, else None.
@@ -198,88 +228,143 @@ def _even_split(
     )
 
 
-def _horizon_reach(
-    x: np.ndarray, a: np.ndarray | scipy.sparse.sparray, b: np.ndarray, n_tau: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One roll over the horizon: ``n_tau`` mat-vecs and ``n_tau - 1``
-    products ``A @ (A^m B)``.
+@dataclass(frozen=True)
+class HorizonRoll:
+    """The horizon model rolled from one state (``_horizon_reach``).
 
-    Row ``m`` of each result is: the free response ``A^(m+1) x``; the least
-    entry of each row of ``A^m B``, ``min_i (A^m B)[r, i]``; and that row's
-    spread above it, ``sum_i ((A^m B)[r, i] - min_i (A^m B)[r, i])``.
+    Row ``j`` of each array belongs to horizon step ``j + 1``: ``free[j] =
+    A^(j+1) x`` is the free response and ``column[j] = A^j B`` a block of
+    H's first block column, as ``build_qp`` takes them. ``floor[j, r]`` and
+    ``ceiling[j, r]`` bound road r's predicted density over every point that
+    ``solve_qp``'s feasibility test admits in the full program, and
+    ``h_limit`` is that test's limit on the inequality rows.
     """
-    free = np.empty((n_tau, x.size))
-    low = np.empty((n_tau, x.size))
-    spread = np.empty((n_tau, x.size))
-    reach, x_hat = b, x
-    for m in range(n_tau):
-        if m:
-            reach = a @ reach
-        x_hat = free[m] = a @ x_hat
-        low[m] = reach.min(axis=1)
-        spread[m] = reach.sum(axis=1) - b.shape[1] * low[m]
-    return free, low, spread
+
+    free: np.ndarray
+    column: np.ndarray
+    floor: np.ndarray
+    ceiling: np.ndarray
+    h_limit: float
+
+    @property
+    def n_variables(self) -> int:
+        return self.column.shape[0] * self.column.shape[2]
 
 
-def _blocked_capacity(
-    x: np.ndarray, a: np.ndarray | scipy.sparse.sparray, b: np.ndarray, config: MpcConfig
-) -> QpSolution | None:
-    """The horizon program's infeasibility certificate when some capacity
-    row fails ``solve_qp``'s feasibility test at every point, else None.
+def _horizon_reach(
+    x: np.ndarray, a: scipy.sparse.sparray, b: np.ndarray, config: MpcConfig
+) -> HorizonRoll:
+    """One roll over the horizon: ``n_tau`` mat-vecs and ``n_tau - 1``
+    products ``A @ (A^m B)``, each an n x n_input array.
 
     ``U >= 0`` and the per-step sums ``d0`` make each step's flows a scaled
-    simplex, so the least density of road r at horizon step j (1-based) is
-    ``(A^j x)[r] + d0 * sum_{m<j} low[m, r]``, the row-activity bound of LP
-    presolve. The feasibility test admits flows down to ``-h_limit`` and
-    per-step sums within ``b_limit`` of ``d0``; over those points step m
-    lowers the floor by a further ``b_limit * |low[m, r]| + h_limit *
-    spread[m, r]``, and no more. A row whose floor still exceeds its
-    capacity by more than ``h_limit`` is blocked: no start passes the test,
-    so ``solve_qp`` would return INFEASIBLE as well, under both bounds:
-    ``h_limit`` is that of the whole inequality right-hand side that
-    ``build_qp`` stacks, and extra rows only shrink the admissible points.
-    The certificate lists the blocked rows in the program's row order,
-    ``n_tau * n_input + (j - 1) * n_state + r``.
+    simplex, so over them step m moves road r's density by at least ``d0 *
+    low[m, r]`` and at most ``d0 * high[m, r]``, the least and greatest
+    entry of row r of ``A^m B``: LP presolve's row-activity bounds. The
+    feasibility test admits flows down to ``-h_limit`` and per-step sums
+    within ``b_limit`` of ``d0``; over those points step m lowers the floor
+    by a further ``b_limit * |low| + h_limit * spread_low`` and lifts the
+    ceiling by ``b_limit * |high| + h_limit * spread_high``, and no more,
+    where the spreads are the row's sums of distances to its least and its
+    greatest entry. ``h_limit`` is that of the full program's inequality
+    right-hand side.
+
+    In the ``d0`` terms ``low`` counts as at most 0 and ``high`` as at
+    least 0. With an outlet column (<= 0) and an inlet column (>= 0), as in
+    every validated network, that changes nothing, and either way both
+    bounds hold at every demand in ``[0, d0]``: as demand falls, the floor
+    only rises and the ceiling only falls, with ``b_limit``.
     """
-    free, low, spread = _horizon_reach(x, a, b, config.n_tau)
+    n_tau, n_input = config.n_tau, b.shape[1]
+    column = np.empty((n_tau, *b.shape))
+    free = np.empty((n_tau, x.size))
+    column[0], x_hat = b, x
+    for m in range(n_tau):
+        if m:
+            column[m] = a @ column[m - 1]
+        x_hat = free[m] = a @ x_hat
+    low, high, total = column.min(axis=2), column.max(axis=2), column.sum(axis=2)
+    spread_low, spread_high = total - n_input * low, n_input * high - total
+
     rhs = [config.x_max - free] + ([free] if config.enforce_density_lower_bound else [])
     h_limit = feasibility_limit(np.concatenate(rhs))
     b_limit = feasibility_limit(np.array([config.d0]))
-    per_step = config.d0 * low - b_limit * np.abs(low) - h_limit * spread
-    floor = free + np.cumsum(per_step, axis=0)
+    down = config.d0 * np.minimum(low, 0.0) - b_limit * np.abs(low) - h_limit * spread_low
+    up = config.d0 * np.maximum(high, 0.0) + b_limit * np.abs(high) + h_limit * spread_high
+    floor = free + np.cumsum(down, axis=0)
+    ceiling = free + np.cumsum(up, axis=0)
+    return HorizonRoll(free, column, floor, ceiling, h_limit)
+
+
+def _blocked_capacity(roll: HorizonRoll, config: MpcConfig) -> QpSolution | None:
+    """The horizon program's infeasibility certificate when some capacity
+    row fails ``solve_qp``'s feasibility test at every point, else None.
+
+    A row whose floor (``_horizon_reach``) still exceeds its capacity by
+    more than ``h_limit`` is blocked: no start passes the test, so
+    ``solve_qp`` would return INFEASIBLE as well, under both bounds, since
+    extra rows only shrink the admissible points. The floor holds at every
+    demand in ``[0, d0]``, so a certified step under the lower bound returns
+    the zero flows that ``control_step``'s zero-demand probe would. The
+    certificate lists the blocked rows in the full program's row order,
+    ``n_tau * n_input + (j - 1) * n_state + r``.
+    """
     # a NaN density makes h_limit NaN and every comparison False, so it
     # falls through as well
-    blocked = np.flatnonzero(floor - config.x_max > h_limit)
+    blocked = np.flatnonzero(roll.floor - config.x_max > roll.h_limit)
     if blocked.size == 0:
         return None
-    rows = config.n_tau * b.shape[1] + blocked
+    rows = roll.n_variables + blocked
     return QpSolution(SolveStatus.INFEASIBLE, infeasible_ineq_rows=tuple(map(int, rows)))
 
 
-def _closed_form(
-    state: TrafficState, a: np.ndarray | scipy.sparse.sparray, b: np.ndarray, config: MpcConfig
-) -> QpSolution | None:
-    """The step's answer when one of the two closed forms settles it: the
-    even split when it breaks no row, or the certificate of a capacity row
-    that no admissible flow can meet, under either bound. None otherwise,
-    and for sizes that do not fit, so that the program reports those. Given
-    an outlet column in ``b``, as in every validated network, each ``low``
-    of ``A^m B`` is <= 0, so the floor only rises as demand falls: a row
-    blocked at ``d0`` is blocked at zero demand too, and a certified step
-    under the lower bound returns the zero flows that ``control_step``'s
-    zero-demand probe would.
+def _binding_rows(roll: HorizonRoll, config: MpcConfig) -> np.ndarray:
+    """The rows of the full program (``build_qp``'s numbering) that the
+    solver can meet: LP presolve's redundant-row test (Brearley, Mitra &
+    Williams, Math. Programming 8, 1975; Andersen & Andersen, Math.
+    Programming 71, 1995).
+
+    Every flow-sign row is kept. A capacity row whose ceiling stays below
+    ``x_max - h_limit``, and under the lower bound a lower-bound row whose
+    floor stays above ``h_limit``, is left out: at every point that the
+    feasibility test admits, its slack exceeds ``h_limit``. The solver's
+    iterates stay admitted: it starts only from a point that the test
+    passes, keeps the per-step sums, and stops each step at the first kept
+    row that it reaches, flow signs included, so every point of the step
+    is admitted too. A row left out is therefore never violated, never
+    active, and never the first row that a step reaches; the full program
+    would take the same steps and the same working sets. The row that sets
+    the full program's ``max |rhs|`` is kept as well, so the program's
+    feasibility limit, and with it every verdict, is the full program's.
+    The bounds hold at every demand in ``[0, d0]`` and the probes change
+    only the equality rows, so rows left out at ``d0`` stay redundant in
+    every demand probe.
     """
-    x = state.densities
-    n_state = x.size
-    b = np.asarray(b, dtype=float)
-    if np.shape(a) != (n_state, n_state) or b.ndim != 2 or b.shape[0] != n_state:
-        return None
-    if b.shape[1] == 0 or config.x_max.size != n_state:
-        return None
-    sol = _even_split(x, a, b, config)
-    if sol is None:
-        sol = _blocked_capacity(x, a, b, config)
-    return sol
+    redundant = [roll.ceiling - config.x_max < -roll.h_limit]
+    rhs = [config.x_max - roll.free]
+    if config.enforce_density_lower_bound:
+        redundant.append(roll.floor > roll.h_limit)
+        rhs.append(roll.free)
+    keep = ~np.concatenate(redundant).ravel()
+    keep[np.argmax(np.abs(np.concatenate(rhs)))] = True
+    n = roll.n_variables
+    return np.concatenate([np.arange(n), n + np.flatnonzero(keep)])
+
+
+def _in_full_rows(sol: QpSolution, rows: np.ndarray, n_rows: int) -> QpSolution:
+    """``sol``, a solution of the program that holds the full program's
+    inequality rows ``rows`` of ``n_rows``, with its active set,
+    multipliers and certificate in the full program's numbering."""
+    duals = sol.ineq_duals
+    if duals is not None:
+        duals = np.zeros(n_rows)
+        duals[rows] = sol.ineq_duals
+    return replace(
+        sol,
+        ineq_duals=duals,
+        active_set=tuple(map(int, rows[list(sol.active_set)])),
+        infeasible_ineq_rows=tuple(map(int, rows[list(sol.infeasible_ineq_rows)])),
+    )
 
 
 def _outlets_only(b: np.ndarray, n_tau: int, d0: float) -> np.ndarray | None:
@@ -315,17 +400,21 @@ def control_step(
 ) -> tuple[np.ndarray, ControlDiagnostics]:
     """Compute the boundary flows to apply at the current step.
 
-    ``a`` is this step's state matrix, dense or sparse, and ``b`` the
-    network's input matrix; both are held fixed across the horizon. Returns
+    ``a`` is this step's state matrix and ``b`` the network's input matrix;
+    both are held fixed across the horizon. A dense ``a`` is converted to
+    CSC, so a dense copy of the sampled matrix gives the same step. Returns
     the first block of the optimal stacked sequence together with solve
-    diagnostics.
+    diagnostics. Sizes that do not match the state raise ``ValueError``.
 
     Closed-form answers at both ends come first and build no program: the
     even split when it is the exact optimum (``_even_split``, optimal with 0
     iterations), and zero flows when a capacity row is blocked under either
     bound (``_blocked_capacity``, infeasible with those rows as certificate).
-    Every solve of the program, demand probes included, starts from the
-    outlets-only split of its own demand (``_outlets_only``), which
+    Otherwise the program is built from the same roll, with only the rows
+    that can bind (``_binding_rows``); the solution's active set,
+    multipliers and certificate are given in the full program's row
+    numbering. Every solve of the program, demand probes included, starts
+    from the outlets-only split of its own demand (``_outlets_only``), which
     ``solve_qp`` vets and, when it breaks a row, replaces by its least-norm
     or phase-one start; so a feasible binding step usually runs no LP.
 
@@ -339,21 +428,37 @@ def control_step(
     zero flows are. The program is built once; a demand probe changes only
     the right-hand side of its equality rows.
     """
-    sol = _closed_form(state, a, b, config)
-    if sol is not None:
-        n_input = np.shape(b)[1]
-        if sol.status is SolveStatus.INFEASIBLE:
-            return np.zeros(n_input), ControlDiagnostics(sol, 0.0, False)
-        return sol.u_star[:n_input].copy(), ControlDiagnostics(sol, config.d0, False)
+    x = state.densities
+    b = np.asarray(b, dtype=float)
+    n_state = x.size
+    if np.shape(a) != (n_state, n_state):
+        raise ValueError(f"state matrix shape {np.shape(a)} does not match state size {n_state}")
+    if b.ndim != 2 or b.shape[0] != n_state or b.shape[1] == 0:
+        raise ValueError(f"input matrix shape {b.shape} does not match state size {n_state}")
+    if config.x_max.size != n_state:
+        raise ValueError(f"capacity vector has {config.x_max.size} entries, expected {n_state}")
+    if not scipy.sparse.issparse(a):
+        a = scipy.sparse.csc_array(np.asarray(a, dtype=float))
+    n_input = b.shape[1]
 
-    pm = build_prediction(a, b, config.n_tau)
-    problem = build_qp(pm, state, config)
+    sol = _even_split(x, a, b, config)
+    if sol is not None:
+        return sol.u_star[:n_input].copy(), ControlDiagnostics(sol, config.d0, False)
+    roll = _horizon_reach(x, a, b, config)
+    sol = _blocked_capacity(roll, config)
+    if sol is not None:
+        return np.zeros(n_input), ControlDiagnostics(sol, 0.0, False)
+
+    rows = _binding_rows(roll, config)
+    problem = build_qp(roll.free, roll.column, config, rows)
+    n_rows = roll.n_variables + roll.free.size * (2 if config.enforce_density_lower_bound else 1)
 
     def solve(program: QpProblem, d0: float) -> QpSolution:
-        return solve_qp(program, initial_point=_outlets_only(b, pm.n_tau, d0))
+        sol = solve_qp(program, initial_point=_outlets_only(b, config.n_tau, d0))
+        return _in_full_rows(sol, rows, n_rows)
 
     def solve_with_demand(d0: float) -> QpSolution:
-        return solve(replace(problem, eq_rhs=np.full(pm.n_tau, float(d0))), d0)
+        return solve(replace(problem, eq_rhs=np.full(config.n_tau, float(d0))), d0)
 
     # build_qp already asks for d0 at every horizon step
     sol = solve(problem, config.d0)
@@ -362,7 +467,7 @@ def control_step(
         # without the lower bound, zero demand is infeasible too (docstring)
         zero_sol = solve_with_demand(0.0) if config.enforce_density_lower_bound else sol
         if zero_sol.status is not SolveStatus.OPTIMAL:
-            return np.zeros(pm.n_input), ControlDiagnostics(sol, 0.0, False)
+            return np.zeros(n_input), ControlDiagnostics(sol, 0.0, False)
         fallback = True
         lo, hi, best = 0.0, config.d0, zero_sol
         for _ in range(8):
@@ -374,4 +479,4 @@ def control_step(
                 hi = mid
         sol, d0_applied = best, lo
 
-    return sol.u_star[: pm.n_input].copy(), ControlDiagnostics(sol, d0_applied, fallback)
+    return sol.u_star[:n_input].copy(), ControlDiagnostics(sol, d0_applied, fallback)

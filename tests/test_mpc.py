@@ -16,18 +16,20 @@ from noirsim.dynamics import (
 from noirsim.harness import SimConfig, philadelphia_noir, run_simulation
 from noirsim.mpc import (
     MpcConfig,
+    _binding_rows,
     _blocked_capacity,
     _horizon_reach,
+    _in_full_rows,
     _outlets_only,
     build_prediction,
     build_qp,
     control_step,
 )
-from noirsim.qp import SolveStatus, feasibility_limit, kkt_residuals, solve_qp
+from noirsim.qp import QpSolution, SolveStatus, feasibility_limit, kkt_residuals, solve_qp
 
 from noirsim.graph import RoadClass, build_graph
 
-from helpers import ATTR, chain_graph, iterate_prediction, tiny_graph
+from helpers import ATTR, chain_graph, iterate_prediction, random_valid_grid, tiny_graph
 
 
 def chain_ab(p_values=(0.5, 0.5)):
@@ -37,6 +39,15 @@ def chain_ab(p_values=(0.5, 0.5)):
         np.array(p_values, dtype=float), np.array([[0.0, 1.0], [0.0, 0.0]])
     )
     return a, assemble_input_matrix(chain_graph())
+
+
+def reference_program(a, b, x, cfg):
+    """The full program built from ``build_prediction``'s dense G and H, the
+    reference for the program that ``control_step`` builds from its roll."""
+    pm = build_prediction(a, b, cfg.n_tau)
+    free = (pm.G @ x).reshape(cfg.n_tau, pm.n_state)
+    column = pm.H[:, : pm.n_input].reshape(cfg.n_tau, pm.n_state, pm.n_input)
+    return build_qp(free, column, cfg)
 
 
 class TestMpcConfig:
@@ -88,17 +99,16 @@ class TestBuildQp:
         g = tiny_graph()
         probs, fractions = np.zeros(1), np.zeros((1, 1))
         cfg = MpcConfig(d0=100.0, x_max=np.array([1e6]), n_tau=1)
-        pm = build_prediction(assemble_state_matrix(probs, fractions), assemble_input_matrix(g), 1)
-        problem = build_qp(pm, TrafficState(np.zeros(1)), cfg)
+        a = assemble_state_matrix(probs, fractions)
+        problem = reference_program(a, assemble_input_matrix(g), np.zeros(1), cfg)
         sol = solve_qp(problem)
         assert sol.u_star == pytest.approx([50.0, 50.0], abs=1e-9)
 
     def test_equality_rows_sum_each_step_to_demand(self):
         a = np.array([[0.5, 0.5], [0.0, 0.5]])
         b = np.array([[0.0, -1.0], [1.0, 0.0]])
-        pm = build_prediction(a, b, 3)
         cfg = MpcConfig(d0=100.0, x_max=np.array([50.0, 50.0]), n_tau=3)
-        problem = build_qp(pm, TrafficState(np.zeros(2)), cfg)
+        problem = reference_program(a, b, np.zeros(2), cfg)
         assert problem.eq_matrix.shape == (3, 6)
         assert np.array_equal(problem.eq_rhs, np.full(3, 100.0))
         u = np.arange(6, dtype=float)
@@ -109,10 +119,9 @@ class TestBuildQp:
         # chain network, horizon 2, capacities tight enough to bind
         a = np.array([[0.5, 0.5], [0.0, 0.5]])
         b = np.array([[0.0, -1.0], [1.0, 0.0]])
-        pm = build_prediction(a, b, 2)
         x0 = np.array([5.0, 6.0])
         cfg = MpcConfig(d0=10.0, x_max=np.array([8.0, 9.0]), n_tau=2)
-        problem = build_qp(pm, TrafficState(x0), cfg)
+        problem = reference_program(a, b, x0, cfg)
         sol = solve_qp(problem)
         assert sol.status is SolveStatus.OPTIMAL
 
@@ -134,23 +143,60 @@ class TestBuildQp:
     def test_capacity_dimension_mismatch(self):
         a = np.eye(2)
         b = np.ones((2, 2))
-        pm = build_prediction(a, b, 2)
         cfg = MpcConfig(d0=1.0, x_max=np.ones(3), n_tau=2)
         with pytest.raises(ValueError, match="capacity"):
-            build_qp(pm, TrafficState(np.zeros(2)), cfg)
+            reference_program(a, b, np.zeros(2), cfg)
 
     def test_lower_bound_rows_appended(self):
         a = np.array([[0.5, 0.5], [0.0, 0.5]])
         b = np.array([[0.0, -1.0], [1.0, 0.0]])
-        pm = build_prediction(a, b, 2)
         cfg_off = MpcConfig(d0=10.0, x_max=np.full(2, 100.0), n_tau=2)
         cfg_on = MpcConfig(
             d0=10.0, x_max=np.full(2, 100.0), n_tau=2, enforce_density_lower_bound=True
         )
-        state = TrafficState(np.array([1.0, 1.0]))
-        rows_off = build_qp(pm, state, cfg_off).ineq_matrix.shape[0]
-        rows_on = build_qp(pm, state, cfg_on).ineq_matrix.shape[0]
-        assert rows_on == rows_off + pm.n_tau * pm.n_state
+        x = np.array([1.0, 1.0])
+        rows_off = reference_program(a, b, x, cfg_off).ineq_matrix.shape[0]
+        rows_on = reference_program(a, b, x, cfg_on).ineq_matrix.shape[0]
+        assert rows_on == rows_off + cfg_on.n_tau * 2
+
+    @pytest.mark.parametrize("lower_bound", [False, True])
+    def test_roll_matches_the_dense_reference(self, lower_bound):
+        # the program built from the sparse roll and the one built from
+        # build_prediction's dense powers agree row for row
+        g = philadelphia_noir(seed=1)
+        b = assemble_input_matrix(g)
+        cfg = MpcConfig(
+            d0=1000.0, x_max=g.capacity_vector(), n_tau=5, enforce_density_lower_bound=lower_bound
+        )
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            x = rng.uniform(0.0, 0.6 * cfg.x_max)
+            a = assemble_state_matrix(*sample_matrices(rng, g, TrafficState(x)))
+            roll = _horizon_reach(x, a, b, cfg)
+            pm = build_prediction(a, b, cfg.n_tau)
+            scale = 1.0 + np.abs(x).max()
+            assert np.abs(roll.free.ravel() - pm.G @ x).max() <= 1e-12 * scale
+            built = build_qp(roll.free, roll.column, cfg)
+            reference = reference_program(a, b, x, cfg)
+            assert built.ineq_matrix.shape == reference.ineq_matrix.shape
+            assert np.abs(built.ineq_matrix - reference.ineq_matrix).max() <= 1e-12
+            assert np.abs(built.ineq_rhs - reference.ineq_rhs).max() <= 1e-12 * scale
+            assert np.array_equal(built.eq_matrix, reference.eq_matrix)
+
+    def test_kept_rows_are_rows_of_the_full_program(self):
+        rng = np.random.default_rng(4)
+        n_tau, n_state, n_input = 3, 4, 2
+        free = rng.uniform(0.0, 5.0, (n_tau, n_state))
+        column = rng.uniform(-1.0, 1.0, (n_tau, n_state, n_input))
+        cfg = MpcConfig(
+            d0=10.0, x_max=np.full(n_state, 20.0), n_tau=n_tau, enforce_density_lower_bound=True
+        )
+        full = build_qp(free, column, cfg)
+        for _ in range(10):
+            rows = np.flatnonzero(rng.random(full.ineq_rhs.size) < 0.5)
+            kept = build_qp(free, column, cfg, rows)
+            assert np.array_equal(kept.ineq_matrix, full.ineq_matrix[rows])
+            assert np.array_equal(kept.ineq_rhs, full.ineq_rhs[rows])
 
 
 class TestControlStep:
@@ -186,7 +232,7 @@ class TestControlStep:
         assert abs(s.sum() - 8.0) <= 1e-6
         # predicted densities respect capacity across the horizon
         pm = build_prediction(a, b, 4)
-        problem = build_qp(pm, state, cfg)
+        problem = reference_program(a, b, state.densities, cfg)
         sol = solve_qp(problem, initial_point=None)
         predicted = pm.G @ state.densities + pm.H @ sol.u_star
         assert (predicted <= np.tile(cfg.x_max, 4) + 1e-6).all()
@@ -328,9 +374,15 @@ class TestControlStep:
         monkeypatch.setattr(mpc, "solve_qp", limited_solve)
         _, diag = control_step(state, a, b, mpc_cfg)
         sol = diag.solution
-        assert solved[0].ineq_matrix.shape == (2380, 210)
+        # the full program has 2,380 rows; the step holds only those that can bind
+        assert solved[0].n_variables == 210 and solved[0].ineq_matrix.shape[0] < 2380
         assert sol.status is SolveStatus.OPTIMAL and not diag.fallback_used
         assert sol.kkt.worst() <= 1e-8
+        full = reference_program(a, b, state.densities, mpc_cfg)
+        assert full.ineq_matrix.shape == (2380, 210)
+        # and its answer solves the full program
+        kkt = kkt_residuals(full, sol.u_star, sol.eq_duals, sol.ineq_duals)
+        assert kkt.worst() <= 1e-8
 
 
 class TestEvenSplitFastPath:
@@ -358,7 +410,7 @@ class TestEvenSplitFastPath:
                 continue
             fast += 1
             assert sol.status is SolveStatus.OPTIMAL and sol.active_set == ()
-            problem = build_qp(build_prediction(a, b, cfg.n_tau), state, cfg)
+            problem = reference_program(a, b, state.densities, cfg)
             kkt = kkt_residuals(problem, sol.u_star, sol.eq_duals, sol.ineq_duals)
             assert kkt.worst() <= 1e-8
             hint = np.full(problem.n_variables, cfg.d0 / b.shape[1])
@@ -384,26 +436,27 @@ class TestEvenSplitFastPath:
         cfg = MpcConfig(
             d0=10.0, x_max=np.array(x_max), n_tau=4, enforce_density_lower_bound=lower_bound
         )
-        problem = build_qp(build_prediction(a, b, cfg.n_tau), state, cfg)
+        problem = reference_program(a, b, state.densities, cfg)
         expected = solve_qp(problem, initial_point=np.full(problem.n_variables, 5.0))
         assert expected.status is SolveStatus.OPTIMAL and expected.active_set
 
         built = []
 
-        def counting_prediction(*args):
-            built.append(build_prediction(*args))
+        def counting_build(*args):
+            built.append(build_qp(*args))
             return built[-1]
 
-        monkeypatch.setattr(mpc, "build_prediction", counting_prediction)
+        monkeypatch.setattr(mpc, "build_qp", counting_build)
         s, diag = control_step(state, a, b, cfg)
         assert len(built) == 1
-        assert np.array_equal(s, expected.u_star[:2])
+        assert np.abs(s - expected.u_star[:2]).max() <= 1e-12
         assert diag.solution.active_set == expected.active_set
 
     def test_size_mismatch_is_reported_by_the_program(self):
         # one capacity for two roads would broadcast in the rolled check
         a, b = chain_ab()
         cfg = MpcConfig(d0=10.0, x_max=np.array([1e6]), n_tau=2)
+        # checked before either closed form
         with pytest.raises(ValueError, match="capacity"):
             control_step(TrafficState(np.zeros(2)), a, b, cfg)
 
@@ -412,7 +465,7 @@ class TestEvenSplitFastPath:
         import noirsim.mpc as mpc
 
         def refuse(*args):
-            raise AssertionError("build_prediction was called")
+            raise AssertionError("build_qp was called")
 
         solutions = []
 
@@ -421,7 +474,7 @@ class TestEvenSplitFastPath:
             solutions.append(diag.solution)
             return flows, diag
 
-        monkeypatch.setattr(mpc, "build_prediction", refuse)
+        monkeypatch.setattr(mpc, "build_qp", refuse)
         monkeypatch.setattr(harness, "control_step", recording_control)
         harness.run_simulation(philadelphia_noir(seed=1), SimConfig(steps=20, seed=1, d0=100.0))
         assert len(solutions) == 20
@@ -478,23 +531,23 @@ class TestOutletsOnlyStart:
 
         built, lps, linprog = [], [], qp.linprog
 
-        def counting_prediction(*args):
-            built.append(build_prediction(*args))
+        def counting_build(*args):
+            built.append(build_qp(*args))
             return built[-1]
 
         def counting_linprog(*args, **kwargs):
             lps.append(kwargs)
             return linprog(*args, **kwargs)
 
-        monkeypatch.setattr(mpc, "build_prediction", counting_prediction)
+        monkeypatch.setattr(mpc, "build_qp", counting_build)
         monkeypatch.setattr(qp, "linprog", counting_linprog)
         s, diag = control_step(state, a, b, cfg)
         sol = diag.solution
         assert len(built) == 1 and not lps
         assert sol.status is SolveStatus.OPTIMAL and sol.active_set
-        # the same program without a hint: the least-norm point is the even
+        # the full program without a hint: the least-norm point is the even
         # split, which broke a row, so the solver runs phase one
-        reference = solve_qp(build_qp(built[0], state, cfg))
+        reference = solve_qp(reference_program(a, b, state.densities, cfg))
         assert len(lps) == 1
         assert reference.status is sol.status
         assert np.abs(s - reference.u_star[: b.shape[1]]).max() <= 1e-9
@@ -524,7 +577,7 @@ class TestOutletsOnlyStart:
         cfg = MpcConfig(d0=10.0, x_max=np.array([100.0, 3.0]), n_tau=1)
         s, diag = control_step(state, a, b, cfg)
         assert np.array_equal(starts, [[0.0, 5.0, 5.0]])
-        problem = build_qp(build_prediction(a, b, cfg.n_tau), state, cfg)
+        problem = reference_program(a, b, state.densities, cfg)
         breaks = problem.ineq_matrix @ starts[0] - problem.ineq_rhs > 0
         assert np.array_equal(np.flatnonzero(breaks), [4])
         assert diag.solution.status is SolveStatus.OPTIMAL
@@ -534,8 +587,8 @@ class TestOutletsOnlyStart:
 
 
 class TestSparseStateMatrix:
-    """``control_step`` takes the sampled CSC state matrix as it is; only
-    ``build_prediction`` densifies it, so a dense copy gives the same answer."""
+    """``control_step`` takes the sampled CSC state matrix as it is and
+    converts a dense one to CSC, so a dense copy gives the same answer."""
 
     @pytest.mark.parametrize(
         "d0, top, builds",
@@ -552,11 +605,11 @@ class TestSparseStateMatrix:
 
         built = []
 
-        def counting_prediction(a, *args):
-            built.append(scipy.sparse.issparse(a))
-            return build_prediction(a, *args)
+        def counting_build(*args):
+            built.append(args)
+            return build_qp(*args)
 
-        monkeypatch.setattr(mpc, "build_prediction", counting_prediction)
+        monkeypatch.setattr(mpc, "build_qp", counting_build)
         g = philadelphia_noir(seed=1)
         b = assemble_input_matrix(g)
         cfg = MpcConfig(d0=d0, x_max=g.capacity_vector(), n_tau=5)
@@ -565,7 +618,7 @@ class TestSparseStateMatrix:
         a = assemble_state_matrix(*sample_matrices(rng, g, state))
         s_sparse, diag_sparse = control_step(state, a, b, cfg)
         s_dense, diag_dense = control_step(state, a.toarray(), b, cfg)
-        assert built == ([True, False] if builds else [])
+        assert len(built) == (2 if builds else 0)
         assert diag_sparse.solution.status is SolveStatus.OPTIMAL
         assert diag_dense.solution.status is diag_sparse.solution.status
         assert bool(diag_sparse.solution.active_set) is builds
@@ -608,7 +661,7 @@ class TestSparseStateMatrix:
         import noirsim.mpc as mpc
 
         def refuse(*args):
-            raise AssertionError("build_prediction was called")
+            raise AssertionError("build_qp was called")
 
         starts, growth = [], []
 
@@ -621,7 +674,7 @@ class TestSparseStateMatrix:
             tracemalloc.reset_peak()
             return sample_matrices(*args)
 
-        monkeypatch.setattr(mpc, "build_prediction", refuse)
+        monkeypatch.setattr(mpc, "build_qp", refuse)
         monkeypatch.setattr(harness, "sample_matrices", measured_sample)
         g = philadelphia_noir(seed=1)
         tracemalloc.start()
@@ -637,17 +690,22 @@ class TestSparseStateMatrix:
 LIMIT = feasibility_limit(np.array([1e6]))
 
 
-def least_activity(h, rows, n_tau, d0):
-    """linprog's least value of each given row of ``h`` over ``U >= 0`` with
-    per-step sums ``d0``. The rows share one LP with a copy of U per row;
-    the copies are independent, so each is at its own row's minimum."""
+def activity_bound(h, rows, n_tau, d0, h_limit, b_limit, greatest=False):
+    """linprog's least (or greatest) value of each given row of ``h`` over the
+    flows that ``solve_qp``'s feasibility test admits: ``U >= -h_limit``
+    with per-step sums within ``b_limit`` of ``d0``. The rows share one LP
+    with a copy of U per row; the copies are independent, so each is at its
+    own row's optimum."""
     k, n = len(rows), h.shape[1]
-    eq = np.kron(np.eye(n_tau), np.ones((1, n // n_tau)))
+    sums = scipy.sparse.kron(
+        scipy.sparse.eye(k), np.kron(np.eye(n_tau), np.ones((1, n // n_tau))), format="csr"
+    )
+    sense = -1.0 if greatest else 1.0
     res = linprog(
-        h[rows].ravel(),
-        A_eq=scipy.sparse.kron(scipy.sparse.eye(k), eq, format="csr"),
-        b_eq=np.full(k * n_tau, d0),
-        bounds=(0.0, None),
+        sense * h[rows].ravel(),
+        A_ub=scipy.sparse.vstack([sums, -sums], format="csr"),
+        b_ub=np.concatenate([np.full(k * n_tau, d0 + b_limit), np.full(k * n_tau, b_limit - d0)]),
+        bounds=(-h_limit, None),
         method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
@@ -655,33 +713,57 @@ def least_activity(h, rows, n_tau, d0):
     return (h[rows] * res.x.reshape(k, n)).sum(axis=1)
 
 
+def certificate_cases():
+    """The chain at a state that blocks both roads, and eight draws of the
+    city preset at ten times its demand; draw k picks the rows k, k + 8, ...,
+    so together the draws cover every row."""
+    a, b = chain_ab()
+    chain_cfg = MpcConfig(d0=10.0, x_max=np.full(2, 9.0), n_tau=4)
+    cases = [(a, b, np.array([36.0, 2.0]), chain_cfg, (0, 1))]
+    g = philadelphia_noir(seed=1)
+    b = assemble_input_matrix(g)
+    cfg = MpcConfig(d0=1000.0, x_max=g.capacity_vector(), n_tau=5)
+    rng = np.random.default_rng(1)
+    for draw in range(8):
+        x = rng.uniform(0.0, 0.5 * cfg.x_max)
+        a = assemble_state_matrix(*sample_matrices(rng, g, TrafficState(x)))
+        cases.append((a, b, x, cfg, (draw, 8)))
+    return cases
+
+
 class TestCapacityCertificate:
     """A step with a capacity row that no admissible flow can meet returns
-    that row as its certificate, before the dense model is built, with or
+    that row as its certificate, before the program is built, with or
     without the lower bound."""
 
-    def test_density_floor_matches_linprog(self):
-        a, b = chain_ab()
-        chain_cfg = MpcConfig(d0=10.0, x_max=np.full(2, 9.0), n_tau=4)
-        cases = [(a, b, np.array([36.0, 2.0]), chain_cfg, (0, 1))]
-        g = philadelphia_noir(seed=1)
-        b = assemble_input_matrix(g)
-        cfg = MpcConfig(d0=1000.0, x_max=g.capacity_vector(), n_tau=5)
-        rng = np.random.default_rng(1)
-        for draw in range(8):
-            x = rng.uniform(0.0, 0.5 * cfg.x_max)
-            a = assemble_state_matrix(*sample_matrices(rng, g, TrafficState(x)))
-            # draw k checks the rows k, k + 8, ...: together the draws cover every row
-            cases.append((a, b, x, cfg, (draw, 8)))
-        for a, b, x, cfg, pick in cases:
+    @pytest.mark.parametrize("greatest", [False, True], ids=["floor", "ceiling"])
+    def test_density_bounds_match_linprog(self, greatest):
+        for a, b, x, cfg, pick in certificate_cases():
             pm = build_prediction(a, b, cfg.n_tau)
             rows = np.arange(pm.H.shape[0])[pick[0] :: pick[1]]
             free_ref = pm.G @ x
             scale = 1.0 + np.abs(np.tile(cfg.x_max, cfg.n_tau) - free_ref).max()
-            free, low, _ = _horizon_reach(x, a, b, cfg.n_tau)
-            floor = free + cfg.d0 * np.cumsum(low, axis=0)
-            assert np.abs(free.ravel() - free_ref).max() <= 1e-12 * scale
-            expected = free_ref[rows] + least_activity(pm.H, rows, cfg.n_tau, cfg.d0)
+            roll = _horizon_reach(x, a, b, cfg)
+            bound = roll.ceiling if greatest else roll.floor
+            b_limit = feasibility_limit(np.array([cfg.d0]))
+            expected = free_ref[rows] + activity_bound(
+                pm.H, rows, cfg.n_tau, cfg.d0, roll.h_limit, b_limit, greatest
+            )
+            assert np.abs(bound.ravel()[rows] - expected).max() <= 1e-9 * scale
+
+    def test_density_floor_matches_linprog(self):
+        # without the feasibility test's limits the floor is the least
+        # density over U >= 0 with per-step sums d0
+        for a, b, x, cfg, pick in certificate_cases():
+            pm = build_prediction(a, b, cfg.n_tau)
+            rows = np.arange(pm.H.shape[0])[pick[0] :: pick[1]]
+            free_ref = pm.G @ x
+            scale = 1.0 + np.abs(np.tile(cfg.x_max, cfg.n_tau) - free_ref).max()
+            roll = _horizon_reach(x, a, b, cfg)
+            low = roll.column.min(axis=2)
+            floor = roll.free + cfg.d0 * np.cumsum(low, axis=0)
+            assert np.abs(roll.free.ravel() - free_ref).max() <= 1e-12 * scale
+            expected = free_ref[rows] + activity_bound(pm.H, rows, cfg.n_tau, cfg.d0, 0.0, 0.0)
             assert np.abs(floor.ravel()[rows] - expected).max() <= 1e-9 * scale
 
     @pytest.mark.parametrize("lower_bound", [False, True])
@@ -691,9 +773,9 @@ class TestCapacityCertificate:
 
         built = []
 
-        def counting_prediction(*args):
+        def counting_build(*args):
             built.append(args)
-            return build_prediction(*args)
+            return build_qp(*args)
 
         verdicts, certified = [], []
 
@@ -707,11 +789,11 @@ class TestCapacityCertificate:
                 # every infeasible program is answered in closed form
                 assert lower_bound or sol.status is not SolveStatus.INFEASIBLE
                 return flows, diag
-            problem = build_qp(build_prediction(a, b, cfg.n_tau), state, cfg)
+            problem = reference_program(a, b, state.densities, cfg)
             assert solve_qp(problem).status is sol.status
             if sol.status is SolveStatus.INFEASIBLE:
-                # answered in closed form: no dense model, zero flows and
-                # a certificate of capacity rows
+                # answered in closed form: no program, zero flows and a
+                # certificate of capacity rows
                 certified.append(state.step)
                 assert sol.infeasible_ineq_rows
                 assert min(sol.infeasible_ineq_rows) >= cfg.n_tau * b.shape[1]
@@ -723,7 +805,7 @@ class TestCapacityCertificate:
                     assert zero.status is SolveStatus.INFEASIBLE
             return flows, diag
 
-        monkeypatch.setattr(mpc, "build_prediction", counting_prediction)
+        monkeypatch.setattr(mpc, "build_qp", counting_build)
         monkeypatch.setattr(harness, "control_step", checking_control)
         cfg = SimConfig(seed=1, d0=1000, steps=20, enforce_density_lower_bound=lower_bound)
         harness.run_simulation(philadelphia_noir(seed=1), cfg)
@@ -763,18 +845,18 @@ class TestCapacityCertificate:
 
         built = []
 
-        def counting_prediction(*args):
+        def counting_build(*args):
             built.append(args)
-            return build_prediction(*args)
+            return build_qp(*args)
 
-        monkeypatch.setattr(mpc, "build_prediction", counting_prediction)
+        monkeypatch.setattr(mpc, "build_qp", counting_build)
         a, b = chain_ab(p_values=(0.0, 0.0))
         cfg = MpcConfig(
             d0=5.0, x_max=np.array(x_max), n_tau=1, enforce_density_lower_bound=lower_bound
         )
         state = TrafficState(np.array(x))
         _, diag = control_step(state, a, b, cfg)
-        full = solve_qp(build_qp(build_prediction(a, b, cfg.n_tau), state, cfg))
+        full = solve_qp(reference_program(a, b, state.densities, cfg))
         assert (full.status is SolveStatus.INFEASIBLE) is blocked
         assert diag.solution.status is full.status
         # a handful of iterations, not a cycle of drops and re-adds to the limit
@@ -796,7 +878,105 @@ class TestCapacityCertificate:
         cfg = MpcConfig(d0=1e6, x_max=np.array([2.0, 2.0]), n_tau=1)
         limit = feasibility_limit(np.array([cfg.d0]))
         x = np.array([cfg.d0 + 2.0 + excess * limit, 0.0])
-        sol = _blocked_capacity(x, a, b, cfg)
+        sol = _blocked_capacity(_horizon_reach(x, a, b, cfg), cfg)
         assert (sol is not None) is blocked
         if blocked:
             assert sol.infeasible_ineq_rows == (2,)
+
+
+class TestBindingRows:
+    """The program holds only the rows that a point admitted by the solver's
+    feasibility test can break or hold active, and reports its solution in
+    the full program's row numbering."""
+
+    @pytest.mark.parametrize("lower_bound", [False, True])
+    def test_no_admitted_point_reaches_a_dropped_row(self, lower_bound):
+        # every row left out keeps a slack above h_limit at the greatest
+        # value that linprog finds over the admitted points, at the step's
+        # demand and at the bisection's probes below it
+        rng = np.random.default_rng(19)
+        dropped_total = kept_total = 0
+        for _ in range(5):
+            g = random_valid_grid(rng)
+            b = assemble_input_matrix(g)
+            x_max = g.capacity_vector()
+            cfg = MpcConfig(
+                d0=float(rng.uniform(1.0, 10.0) * x_max.mean()),
+                x_max=x_max,
+                n_tau=int(rng.integers(1, 6)),
+                enforce_density_lower_bound=lower_bound,
+            )
+            x = rng.uniform(0.0, 0.9 * x_max)
+            a = assemble_state_matrix(*sample_matrices(rng, g, TrafficState(x)))
+            roll = _horizon_reach(x, a, b, cfg)
+            rows = _binding_rows(roll, cfg)
+            full = build_qp(roll.free, roll.column, cfg)
+            n = full.n_variables
+            assert np.array_equal(rows[:n], np.arange(n))  # every flow sign
+            dropped = np.setdiff1d(np.arange(full.ineq_rhs.size), rows)
+            dropped_total += dropped.size
+            kept_total += rows.size - n
+            # the program keeps the full one's feasibility limit
+            assert feasibility_limit(full.ineq_rhs[rows]) == roll.h_limit
+            assert feasibility_limit(full.ineq_rhs) == roll.h_limit
+            if dropped.size == 0:
+                continue
+            check = np.sort(rng.permutation(dropped)[:40])
+            tol = 1e-9 * (1.0 + np.abs(full.ineq_rhs).max())
+            for d0 in (cfg.d0, 0.5 * cfg.d0, 0.0):
+                b_limit = feasibility_limit(np.array([d0]))
+                greatest = activity_bound(
+                    full.ineq_matrix, check, cfg.n_tau, d0, roll.h_limit, b_limit, greatest=True
+                )
+                assert (greatest <= full.ineq_rhs[check] - roll.h_limit + tol).all()
+        assert dropped_total and kept_total
+
+    def test_rows_map_back_to_the_full_program(self):
+        rows = np.array([0, 1, 4, 7])
+        duals = np.array([0.0, 2.0, 0.0, 3.0])
+        sol = QpSolution(SolveStatus.OPTIMAL, ineq_duals=duals, active_set=(1, 3))
+        full = _in_full_rows(sol, rows, 9)
+        assert full.active_set == (1, 7)
+        assert np.array_equal(full.ineq_duals, [0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.0])
+        cert = QpSolution(SolveStatus.INFEASIBLE, infeasible_ineq_rows=(2, 3))
+        cert = _in_full_rows(cert, rows, 9)
+        assert cert.infeasible_ineq_rows == (4, 7) and cert.ineq_duals is None
+
+    def test_binding_step_solves_the_full_program(self, monkeypatch):
+        # ten times the city preset's demand, state.step 1: the step's program
+        # holds a part of the rows, and its answer, active set and
+        # multipliers, in the full program's numbering, are the full
+        # program's own from the same start
+        import noirsim.harness as harness
+        import noirsim.mpc as mpc
+
+        calls = []
+
+        def recording_control(*args):
+            calls.append(args)
+            return control_step(*args)
+
+        monkeypatch.setattr(harness, "control_step", recording_control)
+        harness.run_simulation(philadelphia_noir(seed=1), SimConfig(steps=2, seed=1, d0=1000.0))
+        state, a, b, cfg = calls[1]
+        built = []
+
+        def counting_build(*args):
+            built.append(build_qp(*args))
+            return built[-1]
+
+        monkeypatch.setattr(mpc, "build_qp", counting_build)
+        s, diag = control_step(state, a, b, cfg)
+        sol = diag.solution
+        full = reference_program(a, b, state.densities, cfg)
+        assert len(built) == 1 and built[0].ineq_rhs.size < full.ineq_rhs.size
+        assert sol.status is SolveStatus.OPTIMAL and sol.active_set
+        reference = solve_qp(full, initial_point=_outlets_only(b, cfg.n_tau, cfg.d0))
+        assert reference.status is SolveStatus.OPTIMAL
+        assert sol.active_set == reference.active_set
+        assert sol.ineq_duals.size == full.ineq_rhs.size
+        scale = 1.0 + np.abs(reference.ineq_duals).max()
+        assert np.abs(sol.ineq_duals - reference.ineq_duals).max() <= 1e-9 * scale
+        assert np.abs(s - reference.u_star[: b.shape[1]]).max() <= 1e-9
+        kkt = kkt_residuals(full, sol.u_star, sol.eq_duals, sol.ineq_duals)
+        assert kkt.worst() <= 1e-8

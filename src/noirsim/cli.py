@@ -68,7 +68,11 @@ def _load_graph(path_str: str):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    graph = generate_grid_noir(seed=args.seed, **PRESETS[args.preset])
+    try:
+        graph = generate_grid_noir(seed=args.seed, **PRESETS[args.preset])
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     payload = serialize_network(document_from_graph(graph))
     Path(args.out).write_bytes(payload)
     print(f"wrote {args.preset} network ({graph.n_total} elements) to {args.out}")

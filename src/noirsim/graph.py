@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -240,12 +240,7 @@ class StructureReport:
     inlets_source_only: CheckResult
 
     def items(self) -> Iterator[tuple[str, CheckResult]]:
-        yield "inlets_feed_interior", self.inlets_feed_interior
-        yield "interior_reaches_outlet", self.interior_reaches_outlet
-        yield "no_isolated_nodes", self.no_isolated_nodes
-        yield "no_inlet_to_outlet", self.no_inlet_to_outlet
-        yield "outlets_absorbing", self.outlets_absorbing
-        yield "inlets_source_only", self.inlets_source_only
+        return ((f.name, getattr(self, f.name)) for f in fields(self))
 
     @property
     def all_passed(self) -> bool:

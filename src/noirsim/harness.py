@@ -83,6 +83,7 @@ class SimConfig:
         for name, ok, rule in (
             ("steps", self.steps >= 1, "positive"),
             ("dt_seconds", self.dt_seconds > 0, "positive"),
+            ("seed", self.seed >= 0, "nonnegative"),
             ("d0", self.d0 > 0, "positive"),
             ("n_tau", self.n_tau >= 1, "positive"),
             ("p_max", 0.0 < self.p_max < 1.0, "strictly between 0 and 1"),
@@ -143,6 +144,8 @@ def generate_grid_noir(
         raise ValueError("grid must be at least 2x2 intersections")
     if inlet_count < 1 or outlet_count < 1:
         raise ValueError("need at least one inlet and one outlet")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
 
     # perimeter intersections, clockwise from the top-left corner
     perimeter: list[tuple[int, int]] = []

@@ -11,19 +11,19 @@ under the lower bound, goes negative) the split is the exact optimum and the
 step returns it with its closed-form certificate. It then rolls the horizon
 model itself with sparse products (``_horizon_reach``): the free responses
 ``A^j x``, the blocks ``A^m B`` of the prediction's first block column, and
-the least and greatest density that any admissible flow leaves. When that
-floor exceeds a capacity beyond the solver's feasibility tolerance, no flow
-is feasible, with or without the lower bound, and the step returns zero
-flows with those capacity rows as its certificate. Only otherwise does it
-build a quadratic program, from the same roll (``build_qp``), and only from
-the rows that some admissible flow can break or hold active
-(``_binding_rows``): a capacity row whose ceiling stays below capacity, or
-a lower-bound row whose floor stays above zero, is left out. The solve
-starts from the outlets-only split: the demand spread evenly over the
-outlets and none on the inlets. Outlet flows only lower densities, so once
-no capacity row is blocked that point usually meets every row and the
-solver runs no phase-one LP; where it breaks a row, the solver's phase one
-is the fallback.
+the least and greatest density that any admissible flow leaves. One presolve
+(``_presolve``) reads every capacity and lower-bound row off those two
+bounds with one row-activity test. When some row exceeds its bound beyond
+the solver's feasibility tolerance at every admissible flow, no flow is
+feasible, and the step returns zero flows with those rows as its
+certificate. Only otherwise does it build a quadratic program, from the same
+roll (``build_qp``), and only from the rows that some admissible flow can
+break or hold active; a row that keeps its slack at every admissible flow is
+left out. The solve starts from the outlets-only split: the demand spread
+evenly over the outlets and none on the inlets. Outlet flows only lower
+densities, so once no capacity row is blocked that point usually meets every
+row and the solver runs no phase-one LP; where it breaks a row, the
+solver's phase one is the fallback.
 
 ``build_prediction`` forms the dense condensed model ``G``, ``H`` from
 ``n_tau`` dense n x n powers of A. The controller does not call it; it is
@@ -232,16 +232,20 @@ def _even_split(
 class HorizonRoll:
     """The horizon model rolled from one state (``_horizon_reach``).
 
-    Row ``j`` of each array belongs to horizon step ``j + 1``: ``free[j] =
-    A^(j+1) x`` is the free response and ``column[j] = A^j B`` a block of
-    H's first block column, as ``build_qp`` takes them. ``floor[j, r]`` and
-    ``ceiling[j, r]`` bound road r's predicted density over every point that
-    ``solve_qp``'s feasibility test admits in the full program, and
-    ``h_limit`` is that test's limit on the inequality rows.
+    Row ``j`` of ``free``, ``column``, ``floor`` and ``ceiling`` belongs to
+    horizon step ``j + 1``: ``free[j] = A^(j+1) x`` is the free response and
+    ``column[j] = A^j B`` a block of H's first block column, as ``build_qp``
+    takes them. ``rhs`` is the full program's right-hand side on its
+    prediction rows, in ``build_qp``'s order after the flow signs, and
+    ``h_limit`` the feasibility test's limit on the inequality rows, which
+    ``rhs`` sets. ``floor[j, r]`` and ``ceiling[j, r]`` bound road r's
+    predicted density over every point that ``solve_qp``'s feasibility test
+    admits in the full program.
     """
 
     free: np.ndarray
     column: np.ndarray
+    rhs: np.ndarray
     floor: np.ndarray
     ceiling: np.ndarray
     h_limit: float
@@ -266,8 +270,7 @@ def _horizon_reach(
     by a further ``b_limit * |low| + h_limit * spread_low`` and lifts the
     ceiling by ``b_limit * |high| + h_limit * spread_high``, and no more,
     where the spreads are the row's sums of distances to its least and its
-    greatest entry. ``h_limit`` is that of the full program's inequality
-    right-hand side.
+    greatest entry.
 
     In the ``d0`` terms ``low`` counts as at most 0 and ``high`` as at
     least 0. With an outlet column (<= 0) and an inlet column (>= 0), as in
@@ -287,68 +290,51 @@ def _horizon_reach(
     spread_low, spread_high = total - n_input * low, n_input * high - total
 
     rhs = [config.x_max - free] + ([free] if config.enforce_density_lower_bound else [])
-    h_limit = feasibility_limit(np.concatenate(rhs))
+    rhs = np.concatenate(rhs).ravel()
+    h_limit = feasibility_limit(rhs)
     b_limit = feasibility_limit(np.array([config.d0]))
     down = config.d0 * np.minimum(low, 0.0) - b_limit * np.abs(low) - h_limit * spread_low
     up = config.d0 * np.maximum(high, 0.0) + b_limit * np.abs(high) + h_limit * spread_high
     floor = free + np.cumsum(down, axis=0)
     ceiling = free + np.cumsum(up, axis=0)
-    return HorizonRoll(free, column, floor, ceiling, h_limit)
+    return HorizonRoll(free, column, rhs, floor, ceiling, h_limit)
 
 
-def _blocked_capacity(roll: HorizonRoll, config: MpcConfig) -> QpSolution | None:
-    """The horizon program's infeasibility certificate when some capacity
-    row fails ``solve_qp``'s feasibility test at every point, else None.
-
-    A row whose floor (``_horizon_reach``) still exceeds its capacity by
-    more than ``h_limit`` is blocked: no start passes the test, so
-    ``solve_qp`` would return INFEASIBLE as well, under both bounds, since
-    extra rows only shrink the admissible points. The floor holds at every
-    demand in ``[0, d0]``, so a certified step under the lower bound returns
-    the zero flows that ``control_step``'s zero-demand probe would. The
-    certificate lists the blocked rows in the full program's row order,
-    ``n_tau * n_input + (j - 1) * n_state + r``.
-    """
-    # a NaN density makes h_limit NaN and every comparison False, so it
-    # falls through as well
-    blocked = np.flatnonzero(roll.floor - config.x_max > roll.h_limit)
-    if blocked.size == 0:
-        return None
-    rows = roll.n_variables + blocked
-    return QpSolution(SolveStatus.INFEASIBLE, infeasible_ineq_rows=tuple(map(int, rows)))
-
-
-def _binding_rows(roll: HorizonRoll, config: MpcConfig) -> np.ndarray:
-    """The rows of the full program (``build_qp``'s numbering) that the
-    solver can meet: LP presolve's redundant-row test (Brearley, Mitra &
+def _presolve(roll: HorizonRoll, config: MpcConfig) -> tuple[np.ndarray, np.ndarray]:
+    """LP presolve on the full program's prediction rows (Brearley, Mitra &
     Williams, Math. Programming 8, 1975; Andersen & Andersen, Math.
-    Programming 71, 1995).
+    Programming 71, 1995): the rows that no point admitted by ``solve_qp``'s
+    feasibility test meets, and the rows that the program must hold, both in
+    ``build_qp``'s numbering and increasing order.
 
-    Every flow-sign row is kept. A capacity row whose ceiling stays below
-    ``x_max - h_limit``, and under the lower bound a lower-bound row whose
-    floor stays above ``h_limit``, is left out: at every point that the
-    feasibility test admits, its slack exceeds ``h_limit``. The solver's
-    iterates stay admitted: it starts only from a point that the test
-    passes, keeps the per-step sums, and stops each step at the first kept
-    row that it reaches, flow signs included, so every point of the step
-    is admitted too. A row left out is therefore never violated, never
-    active, and never the first row that a step reaches; the full program
-    would take the same steps and the same working sets. The row that sets
-    the full program's ``max |rhs|`` is kept as well, so the program's
-    feasibility limit, and with it every verdict, is the full program's.
-    The bounds hold at every demand in ``[0, d0]`` and the probes change
-    only the equality rows, so rows left out at ``d0`` stay redundant in
-    every demand probe.
+    Over the admitted points a row's excess over its right-hand side lies in
+    ``[least, most]``: ``[floor - x_max, ceiling - x_max]`` for a capacity
+    row and ``[-ceiling, -floor]`` for a lower-bound row. A row with ``least
+    > h_limit`` is blocked: no start passes the test, so ``solve_qp`` would
+    return INFEASIBLE, and since the bounds hold at every demand in ``[0,
+    d0]``, so would the zero-demand probe. A row with ``most < -h_limit``
+    keeps a slack above ``h_limit`` at every admitted point and is left out.
+    The solver's iterates stay admitted: it starts only from a point that
+    the test passes, keeps the per-step sums, and stops each step at the
+    first kept row that it reaches, flow signs included. So a row left out
+    is never violated, never active, and never the first row that a step
+    reaches; the full program would take the same steps and working sets,
+    and so would every demand probe, which changes only the equality rows.
+    Every flow-sign row is kept, and so is the row that sets ``max |rhs|``,
+    so the program's feasibility limit, and with it every verdict, is the
+    full program's.
     """
-    redundant = [roll.ceiling - config.x_max < -roll.h_limit]
-    rhs = [config.x_max - roll.free]
+    least, most = [roll.floor - config.x_max], [roll.ceiling - config.x_max]
     if config.enforce_density_lower_bound:
-        redundant.append(roll.floor > roll.h_limit)
-        rhs.append(roll.free)
-    keep = ~np.concatenate(redundant).ravel()
-    keep[np.argmax(np.abs(np.concatenate(rhs)))] = True
+        least.append(-roll.ceiling)
+        most.append(-roll.floor)
     n = roll.n_variables
-    return np.concatenate([np.arange(n), n + np.flatnonzero(keep)])
+    # a NaN density makes h_limit NaN and every comparison False: it blocks
+    # no row and keeps every row
+    blocked = n + np.flatnonzero(np.concatenate(least) > roll.h_limit)
+    kept = ~(np.concatenate(most) < -roll.h_limit).ravel()
+    kept[np.argmax(np.abs(roll.rhs))] = True
+    return blocked, np.concatenate([np.arange(n), n + np.flatnonzero(kept)])
 
 
 def _in_full_rows(sol: QpSolution, rows: np.ndarray, n_rows: int) -> QpSolution:
@@ -408,11 +394,11 @@ def control_step(
 
     Closed-form answers at both ends come first and build no program: the
     even split when it is the exact optimum (``_even_split``, optimal with 0
-    iterations), and zero flows when a capacity row is blocked under either
-    bound (``_blocked_capacity``, infeasible with those rows as certificate).
-    Otherwise the program is built from the same roll, with only the rows
-    that can bind (``_binding_rows``); the solution's active set,
-    multipliers and certificate are given in the full program's row
+    iterations), and zero flows when the presolve (``_presolve``) finds a
+    capacity or lower-bound row blocked, under either bound (infeasible with
+    those rows as certificate). Otherwise the program is built from the same
+    roll, with only the rows that the presolve keeps; the solution's active
+    set, multipliers and certificate are given in the full program's row
     numbering. Every solve of the program, demand probes included, starts
     from the outlets-only split of its own demand (``_outlets_only``), which
     ``solve_qp`` vets and, when it breaks a row, replaces by its least-norm
@@ -445,34 +431,30 @@ def control_step(
     if sol is not None:
         return sol.u_star[:n_input].copy(), ControlDiagnostics(sol, config.d0, False)
     roll = _horizon_reach(x, a, b, config)
-    sol = _blocked_capacity(roll, config)
-    if sol is not None:
+    blocked, rows = _presolve(roll, config)
+    if blocked.size:
+        sol = QpSolution(SolveStatus.INFEASIBLE, infeasible_ineq_rows=tuple(map(int, blocked)))
         return np.zeros(n_input), ControlDiagnostics(sol, 0.0, False)
-
-    rows = _binding_rows(roll, config)
     problem = build_qp(roll.free, roll.column, config, rows)
-    n_rows = roll.n_variables + roll.free.size * (2 if config.enforce_density_lower_bound else 1)
 
-    def solve(program: QpProblem, d0: float) -> QpSolution:
+    def solve(d0: float) -> QpSolution:
+        # build_qp already asks for config.d0 at every horizon step
+        program = problem if d0 == config.d0 else replace(problem, eq_rhs=np.full(config.n_tau, d0))
         sol = solve_qp(program, initial_point=_outlets_only(b, config.n_tau, d0))
-        return _in_full_rows(sol, rows, n_rows)
+        return _in_full_rows(sol, rows, roll.n_variables + roll.rhs.size)
 
-    def solve_with_demand(d0: float) -> QpSolution:
-        return solve(replace(problem, eq_rhs=np.full(config.n_tau, float(d0))), d0)
-
-    # build_qp already asks for d0 at every horizon step
-    sol = solve(problem, config.d0)
+    sol = solve(config.d0)
     d0_applied, fallback = config.d0, False
     if sol.status is SolveStatus.INFEASIBLE:
         # without the lower bound, zero demand is infeasible too (docstring)
-        zero_sol = solve_with_demand(0.0) if config.enforce_density_lower_bound else sol
+        zero_sol = solve(0.0) if config.enforce_density_lower_bound else sol
         if zero_sol.status is not SolveStatus.OPTIMAL:
             return np.zeros(n_input), ControlDiagnostics(sol, 0.0, False)
         fallback = True
         lo, hi, best = 0.0, config.d0, zero_sol
         for _ in range(8):
             mid = 0.5 * (lo + hi)
-            probe = solve_with_demand(mid)
+            probe = solve(mid)
             if probe.status is SolveStatus.OPTIMAL:
                 lo, best = mid, probe
             else:

@@ -141,3 +141,21 @@ def test_simulate_rejects_bad_config(tmp_path):
     cfg.write_text('{"stepz": 3}')
     code = main(["simulate", "--network", str(net), "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
+
+
+def test_generate_rejects_negative_seed(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    assert main(["generate", "--preset", "grid", "--seed", "-1", "--out", str(net)]) == EXIT_VALIDATION
+    assert "invalid input: seed must be nonnegative" in capsys.readouterr().err
+    assert not net.exists()
+
+
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    cfg = tmp_path / "cfg.json"
+    main(["generate", "--preset", "grid", "--seed", "1", "--out", str(net)])
+    cfg.write_text('{"seed": -1}')
+    code = main(["simulate", "--network", str(net), "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    assert "invalid input: $: seed must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -184,3 +184,5 @@ class TestParseSimConfig:
             parse_sim_config(b'{"p_max": 1.5}')
         with pytest.raises(FormatError, match="d0 must be a finite real number"):
             parse_sim_config(b'{"d0": Infinity}')
+        with pytest.raises(FormatError, match="seed must be nonnegative"):
+            parse_sim_config(b'{"seed": -1}')

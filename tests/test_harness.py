@@ -254,6 +254,8 @@ class TestSimConfig:
             SimConfig(p_max=1.0)
         with pytest.raises(ValueError):
             SimConfig(initial_density="full")
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            SimConfig(seed=-1)
 
     def test_rejects_wrong_types(self):
         with pytest.raises(ValueError, match="d0 must be a finite real number"):

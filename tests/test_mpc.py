@@ -16,11 +16,10 @@ from noirsim.dynamics import (
 from noirsim.harness import SimConfig, philadelphia_noir, run_simulation
 from noirsim.mpc import (
     MpcConfig,
-    _binding_rows,
-    _blocked_capacity,
     _horizon_reach,
     _in_full_rows,
     _outlets_only,
+    _presolve,
     build_prediction,
     build_qp,
     control_step,
@@ -734,7 +733,7 @@ def certificate_cases():
 class TestCapacityCertificate:
     """A step with a capacity row that no admissible flow can meet returns
     that row as its certificate, before the program is built, with or
-    without the lower bound."""
+    without the lower bound; so does a step with such a lower-bound row."""
 
     @pytest.mark.parametrize("greatest", [False, True], ids=["floor", "ceiling"])
     def test_density_bounds_match_linprog(self, greatest):
@@ -867,6 +866,40 @@ class TestCapacityCertificate:
         else:
             assert len(built) == 1
 
+    def test_blocked_lower_bound_rows_need_no_program(self, monkeypatch):
+        # road 3 starts at -5 and cannot drain (p = 0); only the outlet draws
+        # on it, so no admitted flow brings it back up to zero at either
+        # horizon step: its lower-bound rows 8 and 10 are blocked, and the
+        # step returns the zero-demand probe's zero flows without a solve
+        import noirsim.mpc as mpc
+
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(mpc, "build_qp", counting(build_qp))
+        monkeypatch.setattr(mpc, "solve_qp", counting(solve_qp))
+        a, b = chain_ab(p_values=(0.0, 0.0))
+        cfg = MpcConfig(
+            d0=5.0, x_max=np.full(2, 10.0), n_tau=2, enforce_density_lower_bound=True
+        )
+        x = np.array([-5.0, 0.0])
+        flows, diag = control_step(TrafficState(x), a, b, cfg)
+        assert calls == []
+        assert np.array_equal(flows, np.zeros(2))
+        assert diag.d0_applied == 0.0 and not diag.fallback_used
+        assert diag.solution.status is SolveStatus.INFEASIBLE
+        assert diag.solution.infeasible_ineq_rows == (8, 10)
+        full = reference_program(a, b, x, cfg)
+        assert solve_qp(full).status is SolveStatus.INFEASIBLE
+        zero = solve_qp(replace(full, eq_rhs=np.zeros(cfg.n_tau)))
+        assert zero.status is SolveStatus.INFEASIBLE
+
     @pytest.mark.parametrize("excess, blocked", [(2.5, False), (3.5, True)])
     def test_blocking_threshold_counts_both_limits(self, excess, blocked):
         # road 3 cannot drain (p = 0) but feeds the outlet. Over the points
@@ -878,10 +911,10 @@ class TestCapacityCertificate:
         cfg = MpcConfig(d0=1e6, x_max=np.array([2.0, 2.0]), n_tau=1)
         limit = feasibility_limit(np.array([cfg.d0]))
         x = np.array([cfg.d0 + 2.0 + excess * limit, 0.0])
-        sol = _blocked_capacity(_horizon_reach(x, a, b, cfg), cfg)
-        assert (sol is not None) is blocked
+        rows, _ = _presolve(_horizon_reach(x, a, b, cfg), cfg)
+        assert (rows.size > 0) is blocked
         if blocked:
-            assert sol.infeasible_ineq_rows == (2,)
+            assert tuple(rows) == (2,)
 
 
 class TestBindingRows:
@@ -909,7 +942,7 @@ class TestBindingRows:
             x = rng.uniform(0.0, 0.9 * x_max)
             a = assemble_state_matrix(*sample_matrices(rng, g, TrafficState(x)))
             roll = _horizon_reach(x, a, b, cfg)
-            rows = _binding_rows(roll, cfg)
+            _, rows = _presolve(roll, cfg)
             full = build_qp(roll.free, roll.column, cfg)
             n = full.n_variables
             assert np.array_equal(rows[:n], np.arange(n))  # every flow sign

@@ -19,10 +19,12 @@ feasible, and the step returns zero flows with those rows as its
 certificate. Only otherwise does it build a quadratic program, from the same
 roll (``build_qp``), and only from the rows that some admissible flow can
 break or hold active; a row that keeps its slack at every admissible flow is
-left out. The solve starts from the outlets-only split: the demand spread
-evenly over the outlets and none on the inlets. Outlet flows only lower
-densities, so once no capacity row is blocked that point usually meets every
-row and the solver runs no phase-one LP; where it breaks a row, the
+left out. The cost and the budget rows are checked and factored once per
+``(n_tau, n_input)``; a step, and each demand probe, checks only the blocks
+that it supplies. The solve starts from the outlets-only split: the demand
+spread evenly over the outlets and none on the inlets. Outlet flows only
+lower densities, so once no capacity row is blocked that point usually meets
+every row and the solver runs no phase-one LP; where it breaks a row, the
 solver's phase one is the fallback.
 
 ``build_prediction`` forms the dense condensed model ``G``, ``H`` from
@@ -32,6 +34,7 @@ the reference that the roll is checked against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,19 +127,32 @@ def build_prediction(
     return PredictionMatrices(G=g, H=h, n_tau=n_tau, n_state=n_state, n_input=n_input)
 
 
+@functools.lru_cache(maxsize=8)
+def _cost_and_budget(n_tau: int, n_input: int) -> QpProblem:
+    """The cost ``0.5 * ||U||^2`` and the budget rows (right-hand side 0), checked
+    and factored once; read-only, since every program of this size shares them."""
+    n = n_tau * n_input
+    budget = np.kron(np.eye(n_tau), np.ones((1, n_input)))
+    program = QpProblem(np.eye(n), np.zeros(n), budget, np.zeros(n_tau))
+    for name in ("hessian", "linear", "eq_matrix", "eq_rhs", "hessian_factor"):
+        getattr(program, name).setflags(write=False)
+    return program
+
+
 def build_qp(
-    free: np.ndarray, column: np.ndarray, config: MpcConfig, rows: np.ndarray | None = None
+    column: np.ndarray, rhs: np.ndarray, config: MpcConfig, rows: np.ndarray | None = None
 ) -> QpProblem:
     """Stack the horizon cost and constraints into a quadratic program.
 
-    ``free`` holds the free responses ``A^(j+1) x`` as an ``(n_tau,
-    n_state)`` array and ``column`` the blocks ``A^j B`` of H's first block
-    column as ``(n_tau, n_state, n_input)``; H's block (j, c) is
-    ``column[j - c]`` for j >= c and zero above the block diagonal. Cost is
-    0.5 * ||U||^2 over the stacked boundary flows. Constraints: each horizon
+    ``column`` holds the blocks ``A^j B`` of H's first block column as
+    ``(n_tau, n_state, n_input)``; H's block (j, c) is ``column[j - c]``
+    for j >= c and zero above the block diagonal, and ``rhs`` is the
+    prediction rows' right-hand side, ``HorizonRoll.rhs``. Cost is 0.5 *
+    ||U||^2 over the stacked boundary flows. Constraints: each horizon
     step's flows sum to d0 (equality), U >= 0, and predicted densities stay
     at or below capacity. With the lower bound enabled, predicted densities
-    are additionally kept nonnegative.
+    are additionally kept nonnegative. The cost and the budget rows come
+    checked and factored (``_cost_and_budget``).
 
     The full program's inequality rows are numbered as they stack: the
     ``n_tau * n_input`` flow signs ``-U <= 0``; the capacity rows ``H U <=
@@ -147,18 +163,8 @@ def build_qp(
     into one array.
     """
     n_tau, n_state, n_input = column.shape
-    if free.shape != (n_tau, n_state):
-        raise ValueError(f"free responses of shape {free.shape} do not match {(n_tau, n_state)}")
-    if config.x_max.size != n_state:
-        raise ValueError(f"capacity vector has {config.x_max.size} entries, expected {n_state}")
-
     n = n_tau * n_input
-    eq = np.kron(np.eye(n_tau), np.ones((1, n_input)))
-    eq_rhs = np.full(n_tau, float(config.d0))
-    rhs = [np.zeros(n), (config.x_max - free).ravel()]
-    if config.enforce_density_lower_bound:
-        rhs.append(free.ravel())
-    rhs = np.concatenate(rhs)
+    rhs = np.concatenate([np.zeros(n), rhs])
     rows = np.arange(rhs.size) if rows is None else np.asarray(rows)
 
     ineq = np.zeros((rows.size, n))
@@ -172,13 +178,8 @@ def build_qp(
             part = column[j - c][road]
             ineq[lo:hi, c * n_input : (c + 1) * n_input] = -part if lower_bound else part
 
-    return QpProblem(
-        hessian=np.eye(n),
-        linear=np.zeros(n),
-        eq_matrix=eq,
-        eq_rhs=eq_rhs,
-        ineq_matrix=ineq,
-        ineq_rhs=rhs[rows],
+    return _cost_and_budget(n_tau, n_input).with_blocks(
+        eq_rhs=np.full(n_tau, float(config.d0)), ineq_matrix=ineq, ineq_rhs=rhs[rows]
     )
 
 
@@ -234,10 +235,10 @@ class HorizonRoll:
 
     Row ``j`` of ``free``, ``column``, ``floor`` and ``ceiling`` belongs to
     horizon step ``j + 1``: ``free[j] = A^(j+1) x`` is the free response and
-    ``column[j] = A^j B`` a block of H's first block column, as ``build_qp``
-    takes them. ``rhs`` is the full program's right-hand side on its
-    prediction rows, in ``build_qp``'s order after the flow signs, and
-    ``h_limit`` the feasibility test's limit on the inequality rows, which
+    ``column[j] = A^j B`` a block of H's first block column, which
+    ``build_qp`` takes with ``rhs``: the full program's right-hand side on its
+    prediction rows, in ``build_qp``'s order after the flow signs.
+    ``h_limit`` is the feasibility test's limit on the inequality rows, which
     ``rhs`` sets. ``floor[j, r]`` and ``ceiling[j, r]`` bound road r's
     predicted density over every point that ``solve_qp``'s feasibility test
     admits in the full program.
@@ -411,8 +412,8 @@ def control_step(
     the infeasible first solve. Without the lower bound that is the only
     outcome of an infeasible demand, and ``fallback_used`` is always False:
     the outlet columns of A^k B are <= 0, so any demand is feasible whenever
-    zero flows are. The program is built once; a demand probe changes only
-    the right-hand side of its equality rows.
+    zero flows are. The program is built once; a demand probe changes and
+    checks only the right-hand side of its equality rows (``with_blocks``).
     """
     x = state.densities
     b = np.asarray(b, dtype=float)
@@ -435,11 +436,10 @@ def control_step(
     if blocked.size:
         sol = QpSolution(SolveStatus.INFEASIBLE, infeasible_ineq_rows=tuple(map(int, blocked)))
         return np.zeros(n_input), ControlDiagnostics(sol, 0.0, False)
-    problem = build_qp(roll.free, roll.column, config, rows)
+    problem = build_qp(roll.column, roll.rhs, config, rows)
 
     def solve(d0: float) -> QpSolution:
-        # build_qp already asks for config.d0 at every horizon step
-        program = problem if d0 == config.d0 else replace(problem, eq_rhs=np.full(config.n_tau, d0))
+        program = problem.with_blocks(eq_rhs=np.full(config.n_tau, d0))
         sol = solve_qp(program, initial_point=_outlets_only(b, config.n_tau, d0))
         return _in_full_rows(sol, rows, roll.n_variables + roll.rhs.size)
 

@@ -34,7 +34,8 @@ and the solver ignores a non-finite start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -112,32 +113,11 @@ class QpProblem:
     eq_factor: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("linear", "eq_rhs", "ineq_rhs"):
-            v = getattr(self, name)
-            v = np.asarray(() if v is None else v, dtype=float)
-            if not np.isfinite(v).all():
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v if v.ndim == 1 else v.reshape(-1))
-        n = self.n_variables
-        for name in ("eq_matrix", "ineq_matrix"):
-            m = getattr(self, name)
-            m = np.zeros((0, n)) if m is None else np.asarray(m, dtype=float)
-            object.__setattr__(self, name, m.reshape(1, -1) if m.ndim == 1 else m)
-        h = np.asarray(self.hessian, dtype=float)
-        object.__setattr__(self, "hessian", h)
-        for name in ("hessian", "eq_matrix", "ineq_matrix"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
-
-        if h.shape != (n, n):
-            raise ValueError(f"hessian shape {h.shape} does not match {n} variables")
+        self._admit({f.name: getattr(self, f.name) for f in fields(self) if f.init})
+        h = self.hessian
         scale = max(1.0, float(np.abs(h).max(initial=0.0)))
         if float(np.abs(h - h.T).max(initial=0.0)) > _SYM_TOL * scale:
             raise ValueError("hessian must be symmetric")
-        if self.eq_matrix.shape[1] != n or self.eq_matrix.shape[0] != self.eq_rhs.size:
-            raise ValueError("equality system dimensions are inconsistent")
-        if self.ineq_matrix.shape[1] != n or self.ineq_matrix.shape[0] != self.ineq_rhs.size:
-            raise ValueError("inequality system dimensions are inconsistent")
         # LAPACK directly, as in _lower_solve: the upper factor of the
         # Fortran view h.T reads the lower triangle of h, and its transpose
         # is the C-ordered lower factor, with no copy in either direction.
@@ -145,12 +125,37 @@ class QpProblem:
         if info > 0:
             raise ValueError("hessian must be positive definite (symmetric PSD with full rank)")
         object.__setattr__(self, "hessian_factor", upper.T)
-        ws = _WorkingSet(self.hessian_factor, np.zeros((0, n)), np.zeros((0, 0)))
+        ws = _WorkingSet(self.hessian_factor, np.zeros((0, h.shape[0])), np.zeros((0, 0)))
         if not all(ws.try_add(i, row) for i, row in enumerate(self.eq_matrix)):
             raise ValueError("equality rows must be linearly independent")
         for kept in (ws.wt, ws.schur):  # shared by every solve's working set
             kept.setflags(write=False)
         object.__setattr__(self, "eq_factor", (ws.wt, ws.schur))
+
+    def _admit(self, blocks: dict) -> None:
+        """Set ``blocks`` (name to value) normalized and finite, and check the shapes."""
+        for name, v in blocks.items():
+            if name in ("linear", "eq_rhs", "ineq_rhs"):
+                v = np.asarray(() if v is None else v, dtype=float).reshape(-1)
+            else:  # the hessian is never None, nor made a row
+                v = np.zeros((0, self.n_variables)) if v is None else np.asarray(v, dtype=float)
+                v = v.reshape(1, -1) if v.ndim == 1 and name != "hessian" else v
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, v)
+        n = self.n_variables
+        rows = {"hessian": n, "eq_matrix": self.eq_rhs.size, "ineq_matrix": self.ineq_rhs.size}
+        for name, m in rows.items():
+            if getattr(self, name).shape != (m, n):
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, not {(m, n)}")
+
+    def with_blocks(self, *, eq_rhs=None, ineq_matrix=None, ineq_rhs=None) -> QpProblem:
+        """A copy with each block given (not None) replaced and checked as on
+        construction; it shares the other blocks and both factors."""
+        blocks = {"eq_rhs": eq_rhs, "ineq_matrix": ineq_matrix, "ineq_rhs": ineq_rhs}
+        program = copy.copy(self)
+        program._admit({name: v for name, v in blocks.items() if v is not None})
+        return program
 
     @property
     def n_variables(self) -> int:

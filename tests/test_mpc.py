@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.linalg.lapack import dpotrf
 from scipy.optimize import linprog
 
 from noirsim.dynamics import (
@@ -40,13 +41,21 @@ def chain_ab(p_values=(0.5, 0.5)):
     return a, assemble_input_matrix(chain_graph())
 
 
+def prediction_rhs(free, cfg):
+    """The prediction rows' right-hand side for the free responses ``free``,
+    in ``build_qp``'s order: ``x_max - free``, then ``free`` under the lower
+    bound."""
+    blocks = [cfg.x_max - free] + ([free] if cfg.enforce_density_lower_bound else [])
+    return np.concatenate(blocks).ravel()
+
+
 def reference_program(a, b, x, cfg):
     """The full program built from ``build_prediction``'s dense G and H, the
     reference for the program that ``control_step`` builds from its roll."""
     pm = build_prediction(a, b, cfg.n_tau)
     free = (pm.G @ x).reshape(cfg.n_tau, pm.n_state)
     column = pm.H[:, : pm.n_input].reshape(cfg.n_tau, pm.n_state, pm.n_input)
-    return build_qp(free, column, cfg)
+    return build_qp(column, prediction_rhs(free, cfg), cfg)
 
 
 class TestMpcConfig:
@@ -110,6 +119,10 @@ class TestBuildQp:
         problem = reference_program(a, b, np.zeros(2), cfg)
         assert problem.eq_matrix.shape == (3, 6)
         assert np.array_equal(problem.eq_rhs, np.full(3, 100.0))
+        # every program of a run shares these rows and the cost
+        for shared in (problem.hessian, problem.eq_matrix, problem.hessian_factor):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0, 0] = 2.0
         u = np.arange(6, dtype=float)
         sums = problem.eq_matrix @ u
         assert sums == pytest.approx([0 + 1, 2 + 3, 4 + 5])
@@ -138,13 +151,6 @@ class TestBuildQp:
                     best, best_cost = cand, cost
         assert best is not None
         assert np.abs(sol.u_star - best).max() <= 2 * pitch
-
-    def test_capacity_dimension_mismatch(self):
-        a = np.eye(2)
-        b = np.ones((2, 2))
-        cfg = MpcConfig(d0=1.0, x_max=np.ones(3), n_tau=2)
-        with pytest.raises(ValueError, match="capacity"):
-            reference_program(a, b, np.zeros(2), cfg)
 
     def test_lower_bound_rows_appended(self):
         a = np.array([[0.5, 0.5], [0.0, 0.5]])
@@ -175,7 +181,7 @@ class TestBuildQp:
             pm = build_prediction(a, b, cfg.n_tau)
             scale = 1.0 + np.abs(x).max()
             assert np.abs(roll.free.ravel() - pm.G @ x).max() <= 1e-12 * scale
-            built = build_qp(roll.free, roll.column, cfg)
+            built = build_qp(roll.column, roll.rhs, cfg)
             reference = reference_program(a, b, x, cfg)
             assert built.ineq_matrix.shape == reference.ineq_matrix.shape
             assert np.abs(built.ineq_matrix - reference.ineq_matrix).max() <= 1e-12
@@ -190,10 +196,10 @@ class TestBuildQp:
         cfg = MpcConfig(
             d0=10.0, x_max=np.full(n_state, 20.0), n_tau=n_tau, enforce_density_lower_bound=True
         )
-        full = build_qp(free, column, cfg)
+        full = build_qp(column, prediction_rhs(free, cfg), cfg)
         for _ in range(10):
             rows = np.flatnonzero(rng.random(full.ineq_rhs.size) < 0.5)
-            kept = build_qp(free, column, cfg, rows)
+            kept = build_qp(column, prediction_rhs(free, cfg), cfg, rows)
             assert np.array_equal(kept.ineq_matrix, full.ineq_matrix[rows])
             assert np.array_equal(kept.ineq_rhs, full.ineq_rhs[rows])
 
@@ -264,10 +270,12 @@ class TestControlStep:
 
     def test_fallback_builds_the_program_once(self, monkeypatch):
         # the bisection above solves ten probes of one program, which differ
-        # only in the right-hand side of the equality rows
+        # only in the right-hand side of the equality rows; the cost and the
+        # budget rows are factored once for every step and every probe
         import noirsim.mpc as mpc
+        import noirsim.qp as qp
 
-        built, solved, starts = [], [], []
+        built, solved, starts, factored = [], [], [], []
 
         def counting_build(*args):
             built.append(build_qp(*args))
@@ -278,8 +286,14 @@ class TestControlStep:
             starts.append(kwargs["initial_point"])
             return solve_qp(problem, **kwargs)
 
+        def counting_dpotrf(*args, **kwargs):
+            factored.append(args[0].shape)
+            return dpotrf(*args, **kwargs)
+
         monkeypatch.setattr(mpc, "build_qp", counting_build)
         monkeypatch.setattr(mpc, "solve_qp", recording_solve)
+        monkeypatch.setattr(qp, "dpotrf", counting_dpotrf)
+        mpc._cost_and_budget.cache_clear()
         a, b = chain_ab(p_values=(0.2, 0.2))
         cfg = MpcConfig(
             d0=100.0, x_max=np.array([6.0, 6.0]), n_tau=1, enforce_density_lower_bound=True
@@ -292,8 +306,16 @@ class TestControlStep:
         for probe, start in zip(solved, starts):
             assert probe.ineq_matrix is built[0].ineq_matrix
             assert probe.ineq_rhs is built[0].ineq_rhs
+            assert probe.hessian_factor is built[0].hessian_factor
+            assert probe.eq_factor is built[0].eq_factor
             # each probe starts from its own demand, all of it on the outlet
             assert np.array_equal(start, [0.0, probe.eq_rhs[0]])
+        # a second step builds its own program on the same factors
+        _, diag = control_step(TrafficState(np.array([0.4, 0.6])), a, b, cfg)
+        assert diag.fallback_used
+        assert len(built) == 2
+        assert built[1].hessian_factor is built[0].hessian_factor
+        assert factored == [(2, 2)]
 
     @pytest.mark.parametrize("lower_bound", [False, True])
     def test_totally_infeasible_reports_zero_flow(self, monkeypatch, lower_bound):
@@ -943,7 +965,7 @@ class TestBindingRows:
             a = assemble_state_matrix(*sample_matrices(rng, g, TrafficState(x)))
             roll = _horizon_reach(x, a, b, cfg)
             _, rows = _presolve(roll, cfg)
-            full = build_qp(roll.free, roll.column, cfg)
+            full = build_qp(roll.column, roll.rhs, cfg)
             n = full.n_variables
             assert np.array_equal(rows[:n], np.arange(n))  # every flow sign
             dropped = np.setdiff1d(np.arange(full.ineq_rhs.size), rows)

@@ -92,9 +92,19 @@ class TestSolve:
             assert sol.status is SolveStatus.OPTIMAL
             assert sol.u_star == pytest.approx([30.0, 70.0], abs=1e-8)
 
-    @pytest.mark.parametrize("block", ["linear", "eq_rhs", "ineq_rhs"])
+    # new: the block is supplied through with_blocks rather than on construction
+    @pytest.mark.parametrize(
+        "block, new",
+        [
+            pytest.param("linear", False, id="linear"),
+            pytest.param("eq_rhs", False, id="eq_rhs"),
+            pytest.param("ineq_rhs", False, id="ineq_rhs"),
+            pytest.param("eq_rhs", True, id="eq_rhs-with_blocks"),
+            pytest.param("ineq_rhs", True, id="ineq_rhs-with_blocks"),
+        ],
+    )
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_vector_rejected(self, block, bad):
+    def test_non_finite_vector_rejected(self, block, new, bad):
         # an infinite right-hand side would make the feasibility limit
         # infinite, and every start would pass it
         data = {
@@ -104,18 +114,29 @@ class TestSolve:
         }
         data[block][-1] = bad
         with pytest.raises(ValueError, match=f"{block} must be finite"):
-            QpProblem(
-                np.eye(2),
-                data["linear"],
-                [[1.0, 1.0]],
-                data["eq_rhs"],
-                np.vstack([-np.eye(2), np.eye(2)]),
-                data["ineq_rhs"],
-            )
+            if new:
+                budget_problem(np.eye(2), [30.0, 30.0]).with_blocks(**{block: data[block]})
+            else:
+                QpProblem(
+                    np.eye(2),
+                    data["linear"],
+                    [[1.0, 1.0]],
+                    data["eq_rhs"],
+                    np.vstack([-np.eye(2), np.eye(2)]),
+                    data["ineq_rhs"],
+                )
 
-    @pytest.mark.parametrize("block", ["hessian", "eq_matrix", "ineq_matrix"])
+    @pytest.mark.parametrize(
+        "block, new",
+        [
+            pytest.param("hessian", False, id="hessian"),
+            pytest.param("eq_matrix", False, id="eq_matrix"),
+            pytest.param("ineq_matrix", False, id="ineq_matrix"),
+            pytest.param("ineq_matrix", True, id="ineq_matrix-with_blocks"),
+        ],
+    )
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_matrix_rejected(self, block, bad):
+    def test_non_finite_matrix_rejected(self, block, new, bad):
         data = {
             "hessian": np.eye(2),
             "eq_matrix": np.array([[1.0, 1.0]]),
@@ -123,14 +144,17 @@ class TestSolve:
         }
         data[block][-1, -1] = bad
         with pytest.raises(ValueError, match=f"{block} must be finite"):
-            QpProblem(
-                data["hessian"],
-                np.zeros(2),
-                data["eq_matrix"],
-                [100.0],
-                data["ineq_matrix"],
-                [0.0, 0.0, 30.0, 30.0],
-            )
+            if new:
+                budget_problem(np.eye(2), [30.0, 30.0]).with_blocks(**{block: data[block]})
+            else:
+                QpProblem(
+                    data["hessian"],
+                    np.zeros(2),
+                    data["eq_matrix"],
+                    [100.0],
+                    data["ineq_matrix"],
+                    [0.0, 0.0, 30.0, 30.0],
+                )
 
     def test_non_finite_matrix_reproducers_rejected(self):
         # a NaN passes the symmetry test (every comparison with it is False),
@@ -147,6 +171,16 @@ class TestSolve:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             QpProblem(np.eye(2), np.zeros(3))
+        # with_blocks refuses row counts that do not match their right-hand
+        # side, and columns that do not match the variables
+        for blocks in (
+            {"ineq_rhs": np.zeros(3)},
+            {"ineq_matrix": -np.eye(2)[:1]},
+            {"eq_rhs": [100.0, 100.0]},
+            {"ineq_matrix": -np.eye(3)[:2]},
+        ):
+            with pytest.raises(ValueError, match="shape"):
+                budget_problem().with_blocks(**blocks)
 
     def test_non_psd_hessian_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -219,6 +253,12 @@ class TestRangeSpaceStep:
             gram = e @ np.linalg.solve(problem.hessian, e.T)
             assert np.abs(schur @ schur.T - gram).max() <= 1e-10 * np.abs(gram).max()
             assert not wt.flags.writeable and not schur.flags.writeable
+            # a copy with new right-hand sides shares both factors, and may
+            # not replace the rows that they factor
+            new = problem.with_blocks(eq_rhs=np.ones(m_eq))
+            assert new.hessian_factor is factor and new.eq_factor is problem.eq_factor
+            with pytest.raises(TypeError, match="eq_matrix"):
+                problem.with_blocks(eq_matrix=e)
 
     def test_least_norm_start_is_in_the_hessian_metric(self):
         # c = 0 and no inequality rows: the start is the optimum,

@@ -47,16 +47,16 @@ def sample_matrices(
     """Draw one step's outflow probabilities ``p`` and turn fractions ``q``.
 
     ``p[i]`` is the fraction of interior road i's density that leaves it
-    during the step: uniform on [0, p_max], and exactly 0 on roads with zero
-    density. Turn fractions are uniform on the simplex over each non-outlet
-    node's out-neighbors (flat Dirichlet). ``q`` holds their
-    interior-to-interior block in state order: ``q[i, j]`` is the fraction
-    of interior node j's outflow that enters interior node i, so a column
-    falls short of 1 by the share its road sends to outlets. ``q`` is a
-    sparse CSC array with one stored entry per interior-to-interior edge:
-    those edges, in the graph's (tail, head) order, are its entries column
-    by column with sorted rows. Given the same generator state the result is
-    bit-identical.
+    during the step: uniform on [0, p_max], and exactly 0 where ``|x[i]| <=
+    1e-9`` veh, so round-off in a zero density cannot flip it. Turn
+    fractions are uniform on the simplex over each non-outlet node's
+    out-neighbors (flat Dirichlet). ``q`` holds their interior-to-interior
+    block in state order: ``q[i, j]`` is the fraction of interior node j's
+    outflow that enters interior node i, so a column falls short of 1 by
+    the share its road sends to outlets. ``q`` is a sparse CSC array with
+    one stored entry per interior-to-interior edge: those edges, in the
+    graph's (tail, head) order, are its entries column by column with
+    sorted rows. Given the same generator state the result is bit-identical.
     """
     if not 0.0 < p_max < 1.0:
         raise ValueError(f"p_max must lie strictly between 0 and 1, got {p_max}")
@@ -66,7 +66,7 @@ def sample_matrices(
         raise ValueError(f"state has {x.shape[0]} entries, expected {n_i}")
 
     p = rng.uniform(0.0, p_max, size=n_i)
-    p[x == 0.0] = 0.0
+    p[np.abs(x) <= 1e-9] = 0.0
 
     nb = graph.n_boundary
     tails, heads = graph.edge_tails, graph.edge_heads

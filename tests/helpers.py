@@ -81,7 +81,7 @@ def reference_sample_matrices(
     """
     n_i, nb = graph.n_interior, graph.n_boundary
     p = rng.uniform(0.0, p_max, size=n_i)
-    p[state.densities == 0.0] = 0.0
+    p[np.abs(state.densities) <= 1e-9] = 0.0
 
     outs_of: dict[int, list[int]] = {}
     for u, v in sorted(graph.edges):

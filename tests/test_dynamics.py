@@ -67,6 +67,20 @@ class TestSampling:
         assert probs[0] == 0.0
         assert 0.0 <= probs[1] <= 0.9
 
+    @pytest.mark.parametrize("x", [1e-12, -1e-12, 1e-6, -1e-6])
+    def test_zero_switch_has_a_scale(self, x):
+        # densities within 1e-9 veh of zero either side get p = 0, so that
+        # round-off cannot flip the switch; beyond it a road, negative ones
+        # too, keeps its drawn p, and p is drawn first, so the random
+        # stream does not depend on the switch
+        g = chain_graph()
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        probs, _ = sample_matrices(rng, g, TrafficState(np.array([x, 5.0])))
+        drawn, _ = sample_matrices(ref_rng, g, TrafficState(np.array([5.0, 5.0])))
+        assert probs[0] == (0.0 if abs(x) <= 1e-9 else drawn[0]) and drawn[0] > 0.0
+        assert probs[1] == drawn[1]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_single_out_neighbor_gets_full_fraction(self):
         g = chain_graph()
         rng = np.random.default_rng(1)

@@ -57,6 +57,10 @@ def sample_matrices(
     one stored entry per interior-to-interior edge: those edges, in the
     graph's (tail, head) order, are its entries column by column with
     sorted rows. Given the same generator state the result is bit-identical.
+    Where each draw goes, and ``q``'s row indices and column pointers, are
+    the graph's ``turn_plan``, derived on its first draw and kept; a step
+    draws the numbers and sums them, and ``q`` shares the plan's read-only
+    index arrays.
     """
     if not 0.0 < p_max < 1.0:
         raise ValueError(f"p_max must lie strictly between 0 and 1, got {p_max}")
@@ -68,30 +72,24 @@ def sample_matrices(
     p = rng.uniform(0.0, p_max, size=n_i)
     p[np.abs(x) <= 1e-9] = 0.0
 
-    nb = graph.n_boundary
-    tails, heads = graph.edge_tails, graph.edge_heads
-    out_deg = np.diff(graph.out_offsets)
     # One flat Dirichlet per inlet or interior node with two or more
     # out-edges, drawn in (tail, head) order exactly as Generator.dirichlet
     # computes it: gamma(1) variates, summed left to right (a column at a
     # time; np.sum and np.add.reduceat can round differently) and multiplied
-    # by the reciprocal of the sum. The inlet splits are unused; they are
-    # drawn so that the random stream, and every later draw, stays fixed.
-    split = (out_deg[tails - 1] >= 2) & ((tails <= graph.n_inlets) | (tails > nb))
-    owner = tails[split] - 1
-    slot = np.flatnonzero(split) - graph.out_offsets[owner]
-    gammas = rng.standard_gamma(1.0, size=owner.size)
-    padded = np.zeros((graph.n_total, int(out_deg.max(initial=0))))
-    padded[owner, slot] = gammas
-    total = np.zeros(graph.n_total)
+    # by the reciprocal of the sum. The inlet splits come first and are
+    # unused; they are drawn so that the random stream, and every later
+    # draw, stays fixed.
+    plan = graph.turn_plan
+    gammas = rng.standard_gamma(1.0, size=plan.n_inlet_draws + plan.owner.size)
+    gammas = gammas[plan.n_inlet_draws :]
+    padded = np.zeros(plan.shape)
+    padded[plan.owner, plan.slot] = gammas
+    total = np.zeros(plan.shape[0])
     for column in padded.T:
         total += column
-    frac = np.ones(tails.size)
-    frac[split] = gammas * (1.0 / total[owner])
-
-    inner = (tails > nb) & (heads > nb)
-    indptr = np.searchsorted(tails[inner], np.arange(nb + 1, graph.n_total + 2))
-    q = scipy.sparse.csc_array((frac[inner], heads[inner] - nb - 1, indptr), shape=(n_i, n_i))
+    data = np.ones(plan.indices.size)
+    data[plan.put] = (gammas * (1.0 / total[plan.owner]))[plan.pick]
+    q = scipy.sparse.csc_array((data, plan.indices, plan.indptr), shape=(n_i, n_i))
     return p, q
 
 

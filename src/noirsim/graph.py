@@ -8,11 +8,12 @@ then interior elements.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +46,30 @@ class RoadAttributes:
             raise ValueError(f"lane count must be an integer, got {self.lane_count!r}")
         if self.lane_count < 1:
             raise ValueError(f"lane count must be at least 1, got {self.lane_count}")
+
+
+class TurnPlan(NamedTuple):
+    """Where one step's turn-fraction draws go (``NoirGraph.turn_plan``).
+
+    Each inlet and interior node with two or more out-edges splits its
+    outflow by one flat Dirichlet draw: a gamma(1) variate per out-edge, all
+    drawn in (tail, head) order, so the ``n_inlet_draws`` inlet variates
+    come first. Interior variate k sits at ``(owner[k], slot[k])`` of a
+    padded array of ``shape``, one row per splitting interior node and one
+    column per out-edge slot. The interior-to-interior fraction matrix, in
+    state order, is CSC with row ``indices`` and column pointers ``indptr``;
+    its entries ``put`` come from interior variates ``pick``, and the rest
+    are 1.
+    """
+
+    n_inlet_draws: int
+    owner: np.ndarray
+    slot: np.ndarray
+    shape: tuple[int, int]
+    pick: np.ndarray
+    put: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -108,6 +133,32 @@ class NoirGraph:
             arr = np.ascontiguousarray(arr)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @functools.cached_property
+    def turn_plan(self) -> TurnPlan:
+        """The index arrays that ``dynamics.sample_matrices`` draws turn
+        fractions through, derived on first use and kept; they are read-only."""
+        nb, tails, heads = self.n_boundary, self.edge_tails, self.edge_heads
+        out_deg = np.diff(self.out_offsets)
+        split = out_deg[tails - 1] >= 2
+        drawn = split & (tails > nb)
+        node = tails[drawn]
+        splitters, owner = np.unique(node, return_inverse=True)
+        inner = (tails > nb) & (heads > nb)
+        plan = TurnPlan(
+            n_inlet_draws=int(np.count_nonzero(split & (tails <= self.n_inlets))),
+            owner=owner,
+            slot=np.flatnonzero(drawn) - self.out_offsets[node - 1],
+            shape=(splitters.size, int(out_deg[splitters - 1].max(initial=0))),
+            pick=np.flatnonzero(inner[drawn]),
+            put=np.flatnonzero(split[inner]),
+            indices=heads[inner] - nb - 1,
+            indptr=np.searchsorted(tails[inner], np.arange(nb + 1, self.n_total + 2)),
+        )
+        for arr in plan:
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        return plan
 
     @property
     def n_boundary(self) -> int:

@@ -329,11 +329,36 @@ def _rounded(obj):
     return obj
 
 
+def _json_numbers(values: list) -> list[str]:
+    """Each number of ``values`` as ``json.dumps`` writes it after
+    ``_rounded``, from one call of the C encoder (``indent`` selects the
+    pure-Python one)."""
+    if not values:
+        return []
+    return json.dumps(_rounded(values), separators=(",", ":"))[1:-1].split(",")
+
+
+def _write_rows(path: Path, header: str, row_format: str, records) -> None:
+    """Write ``header``, then each ``(step, values)`` record by one ``%`` on
+    ``row_format``, which holds a ``%s`` for the step and a ``%.12g`` for
+    the value on each of its lines."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(header)
+        for step, values in records:
+            args = [step] * (2 * len(values))
+            args[1::2] = values.tolist()
+            fh.write(row_format % tuple(args))
+
+
 def emit_report(log: TimeSeriesLog, out_dir: str | Path) -> dict[str, Path]:
     """Write run_summary.json, densities.csv, and boundary_flows.csv.
 
-    Numbers carry 12 significant digits; identical logs serialize to
-    byte-identical files.
+    Numbers carry 12 significant digits, as ``{:.12g}`` writes them;
+    identical logs serialize to byte-identical files, and an existing file
+    is rewritten in full. Each CSV record is formatted by one ``%`` on a
+    row format built once per run, and the summary's two long lists go
+    through the C JSON encoder and are laid out as ``json.dumps(...,
+    indent=2)`` lays them out.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -341,7 +366,7 @@ def emit_report(log: TimeSeriesLog, out_dir: str | Path) -> dict[str, Path]:
     statuses = [rec.status for rec in log.records]
     sum_u = [rec.sum_u for rec in log.records]
     sum_v = [rec.sum_v for rec in log.records]
-    summary = {
+    head = {
         "config": asdict(log.config),
         "network": {
             "n_total": log.n_total,
@@ -362,30 +387,37 @@ def emit_report(log: TimeSeriesLog, out_dir: str | Path) -> dict[str, Path]:
             "steps_fallback": sum(1 for rec in log.records if rec.fallback_used),
             "steps_infeasible": statuses.count(SolveStatus.INFEASIBLE.value),
         },
-        "final_state": list(log.records[-1].densities),
-        "per_step": [
-            {"step": rec.step, "sum_u": rec.sum_u, "sum_v": rec.sum_v}
-            for rec in log.records
-        ],
     }
+    # indent=2's layout of the two long lists, one level deep in the summary
+    final_state = _json_numbers(log.records[-1].densities.tolist())
+    per_step = _json_numbers([v for rec in log.records for v in (rec.step, rec.sum_u, rec.sum_v)])
+    step_lines = '    {\n      "step": %s,\n      "sum_u": %s,\n      "sum_v": %s\n    }'
+    lists = {
+        "final_state": ["    " + number for number in final_state],
+        "per_step": [step_lines % tuple(per_step[i : i + 3]) for i in range(0, len(per_step), 3)],
+    }
+    text = json.dumps(_rounded(head), indent=2)[: -len("\n}")]
+    for key, lines in lists.items():
+        text += f',\n  "{key}": ' + ("[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]")
     summary_path = out / "run_summary.json"
-    summary_path.write_text(json.dumps(_rounded(summary), indent=2) + "\n", encoding="utf-8")
+    summary_path.write_text(text + "\n}\n", encoding="utf-8")
 
     n_boundary = log.n_inlets + log.n_outlets
     densities_path = out / "densities.csv"
-    with densities_path.open("w", encoding="utf-8") as fh:
-        fh.write("step,road_id,density\n")
-        for rec in log.records:
-            for idx, value in enumerate(rec.densities):
-                fh.write(f"{rec.step},{n_boundary + 1 + idx},{value:.12g}\n")
-
+    _write_rows(
+        densities_path,
+        "step,road_id,density\n",
+        "".join(f"%s,{n_boundary + 1 + i},%.12g\n" for i in range(log.n_interior)),
+        ((rec.step, rec.densities) for rec in log.records),
+    )
     flows_path = out / "boundary_flows.csv"
-    with flows_path.open("w", encoding="utf-8") as fh:
-        fh.write("step,road_id,class,flow\n")
-        for rec in log.records:
-            for idx, value in enumerate(rec.flows):
-                cls = "inlet" if idx < log.n_inlets else "outlet"
-                fh.write(f"{rec.step},{idx + 1},{cls},{value:.12g}\n")
+    classes = ["inlet"] * log.n_inlets + ["outlet"] * log.n_outlets
+    _write_rows(
+        flows_path,
+        "step,road_id,class,flow\n",
+        "".join(f"%s,{i + 1},{cls},%.12g\n" for i, cls in enumerate(classes)),
+        ((rec.step, rec.flows) for rec in log.records),
+    )
 
     return {
         "run_summary": summary_path,

@@ -233,18 +233,17 @@ def _even_split(
 class HorizonRoll:
     """The horizon model rolled from one state (``_horizon_reach``).
 
-    Row ``j`` of ``free``, ``column``, ``floor`` and ``ceiling`` belongs to
-    horizon step ``j + 1``: ``free[j] = A^(j+1) x`` is the free response and
-    ``column[j] = A^j B`` a block of H's first block column, which
-    ``build_qp`` takes with ``rhs``: the full program's right-hand side on its
-    prediction rows, in ``build_qp``'s order after the flow signs.
+    Row ``j`` of ``column``, ``floor`` and ``ceiling`` belongs to horizon
+    step ``j + 1``: ``column[j] = A^j B`` is a block of H's first block
+    column, which ``build_qp`` takes with ``rhs``: the full program's
+    right-hand side on its prediction rows, in ``build_qp``'s order after
+    the flow signs, from the free responses ``A^(j+1) x``.
     ``h_limit`` is the feasibility test's limit on the inequality rows, which
     ``rhs`` sets. ``floor[j, r]`` and ``ceiling[j, r]`` bound road r's
     predicted density over every point that ``solve_qp``'s feasibility test
     admits in the full program.
     """
 
-    free: np.ndarray
     column: np.ndarray
     rhs: np.ndarray
     floor: np.ndarray
@@ -298,7 +297,7 @@ def _horizon_reach(
     up = config.d0 * np.maximum(high, 0.0) + b_limit * np.abs(high) + h_limit * spread_high
     floor = free + np.cumsum(down, axis=0)
     ceiling = free + np.cumsum(up, axis=0)
-    return HorizonRoll(free, column, rhs, floor, ceiling, h_limit)
+    return HorizonRoll(column, rhs, floor, ceiling, h_limit)
 
 
 def _presolve(roll: HorizonRoll, config: MpcConfig) -> tuple[np.ndarray, np.ndarray]:

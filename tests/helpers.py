@@ -6,18 +6,23 @@ from explicit step-by-step iteration, reachability from a boolean
 transitive closure, and turn fractions from one Dirichlet draw per node.
 The stability oracles, a power-iteration spectral radius and the squared-norm
 bound it implies, check the plant's contraction and bounded trajectories.
+The report oracle writes one ``{:.12g}`` value per ``write`` call and the
+summary through ``json.dumps(..., indent=2)``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
 from noirsim.dynamics import TrafficState
 from noirsim.graph import NoirGraph, RoadAttributes, RoadClass, build_graph
-from noirsim.harness import generate_grid_noir
-from noirsim.qp import QpProblem
+from noirsim.harness import TimeSeriesLog, generate_grid_noir
+from noirsim.qp import QpProblem, SolveStatus
 
 ATTR = RoadAttributes(length_m=100.0, lane_count=1)
 
@@ -98,6 +103,82 @@ def reference_sample_matrices(
             if j > nb and t > nb:
                 matrix[t - nb - 1, j - nb - 1] = frac
     return p, per_edge, matrix
+
+
+def _reference_rounded(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _reference_rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_rounded(v) for v in obj]
+    return obj
+
+
+def reference_emit_report(log: TimeSeriesLog, out_dir: str | Path) -> dict[str, Path]:
+    """Report writer that ``emit_report`` must match byte for byte: one
+    ``fh.write`` of an f-string per CSV value, and the whole summary through
+    ``json.dumps(..., indent=2)`` after rounding every float to 12
+    significant digits."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    statuses = [rec.status for rec in log.records]
+    sum_u = [rec.sum_u for rec in log.records]
+    sum_v = [rec.sum_v for rec in log.records]
+    summary = {
+        "config": asdict(log.config),
+        "network": {
+            "n_total": log.n_total,
+            "n_in": log.n_inlets,
+            "n_boundary": log.n_inlets + log.n_outlets,
+            "n_interior": log.n_interior,
+        },
+        "aggregates": {
+            "steps": len(log.records),
+            "sum_u_mean": float(np.mean(sum_u)),
+            "sum_v_mean": float(np.mean(sum_v)),
+            "sum_u_final": sum_u[-1],
+            "sum_v_final": sum_v[-1],
+            "total_density_final": log.records[-1].total_density,
+            "max_slack_capacity": max(rec.slack_capacity for rec in log.records),
+            "max_slack_negative": max(rec.slack_negative for rec in log.records),
+            "steps_optimal": statuses.count(SolveStatus.OPTIMAL.value),
+            "steps_fallback": sum(1 for rec in log.records if rec.fallback_used),
+            "steps_infeasible": statuses.count(SolveStatus.INFEASIBLE.value),
+        },
+        "final_state": list(log.records[-1].densities),
+        "per_step": [
+            {"step": rec.step, "sum_u": rec.sum_u, "sum_v": rec.sum_v}
+            for rec in log.records
+        ],
+    }
+    summary_path = out / "run_summary.json"
+    summary_path.write_text(
+        json.dumps(_reference_rounded(summary), indent=2) + "\n", encoding="utf-8"
+    )
+
+    n_boundary = log.n_inlets + log.n_outlets
+    densities_path = out / "densities.csv"
+    with densities_path.open("w", encoding="utf-8") as fh:
+        fh.write("step,road_id,density\n")
+        for rec in log.records:
+            for idx, value in enumerate(rec.densities):
+                fh.write(f"{rec.step},{n_boundary + 1 + idx},{value:.12g}\n")
+
+    flows_path = out / "boundary_flows.csv"
+    with flows_path.open("w", encoding="utf-8") as fh:
+        fh.write("step,road_id,class,flow\n")
+        for rec in log.records:
+            for idx, value in enumerate(rec.flows):
+                cls = "inlet" if idx < log.n_inlets else "outlet"
+                fh.write(f"{rec.step},{idx + 1},{cls},{value:.12g}\n")
+
+    return {
+        "run_summary": summary_path,
+        "densities": densities_path,
+        "boundary_flows": flows_path,
+    }
 
 
 def spectral_radius_estimate(a: np.ndarray, iters: int = 300) -> float:

@@ -113,25 +113,34 @@ class TestSampling:
             assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "graph",
+        "graph, partner",
         [
-            generate_grid_noir(seed=1, **GRID_PRESET),
-            philadelphia_noir(seed=1),
-            generate_grid_noir(3, 4, 2, 2, seed=9),
+            (generate_grid_noir(seed=1, **GRID_PRESET), generate_grid_noir(seed=2, **GRID_PRESET)),
+            (philadelphia_noir(seed=1), philadelphia_noir(seed=2)),
+            (generate_grid_noir(3, 4, 2, 2, seed=9), generate_grid_noir(3, 4, 2, 2, seed=10)),
         ],
         ids=["grid-preset", "philadelphia", "grid-3x4"],
     )
-    def test_matches_per_node_reference_bit_for_bit(self, graph):
+    def test_matches_per_node_reference_bit_for_bit(self, graph, partner):
+        # two graphs of one size but other boundary edges alternate, each
+        # drawn from repeatedly, so a turn plan kept under a key that does
+        # not tell them apart serves one graph the other's arrays
+        assert graph.n_total == partner.n_total and graph.edges != partner.edges
         for seed in range(5):
-            densities = np.random.default_rng(100 + seed).uniform(0.0, 10.0, graph.n_interior)
-            densities[::3] = 0.0
-            state = TrafficState(densities)
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            probs, fractions = sample_matrices(rng, graph, state)
-            p, _, matrix = reference_sample_matrices(ref_rng, graph, state)
-            assert probs.tobytes() == p.tobytes()
-            assert fractions.toarray().tobytes() == matrix.tobytes()
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            for g in (graph, partner):
+                densities = np.random.default_rng(100 + seed).uniform(0.0, 10.0, g.n_interior)
+                densities[::3] = 0.0
+                state = TrafficState(densities)
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                probs, fractions = sample_matrices(rng, g, state)
+                p, _, matrix = reference_sample_matrices(ref_rng, g, state)
+                assert probs.tobytes() == p.tobytes()
+                assert fractions.toarray().tobytes() == matrix.tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for g in (graph, partner):
+            assert g.turn_plan is g.turn_plan
+            arrays = [arr for arr in g.turn_plan if isinstance(arr, np.ndarray)]
+            assert len(arrays) == 6 and not any(arr.flags.writeable for arr in arrays)
 
     def test_p_max_domain(self):
         g = tiny_graph()

@@ -1,19 +1,39 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noirsim.dynamics import assemble_input_matrix
 from noirsim.graph import RoadClass, validate_structure
 from noirsim.harness import (
     SimConfig,
+    StepRecord,
+    TimeSeriesLog,
     emit_report,
     generate_grid_noir,
     philadelphia_noir,
     run_simulation,
 )
 
-from helpers import bibo_bound
+from helpers import bibo_bound, reference_emit_report
+
+# flows that StepRecord takes unchecked and that the writer must format as
+# the reference does: a negative zero, the least subnormal, floats past 12
+# digits, and the non-finite values
+SPECIAL_FLOWS = [-0.0, 5e-324, 1e16, 123456789012.5, math.nan, math.inf, -math.inf]
+
+
+def assert_same_reports(log: TimeSeriesLog, root: Path) -> None:
+    reference = reference_emit_report(log, root / "reference")
+    emitted = emit_report(log, root / "emitted")
+    assert emitted.keys() == reference.keys()
+    for key, path in reference.items():
+        assert emitted[key].read_bytes() == path.read_bytes(), key
 
 
 class TestGenerator:
@@ -226,6 +246,65 @@ class TestEmitReport:
         p2 = emit_report(run_simulation(g, cfg), out2)
         for key in p1:
             assert p1[key].read_bytes() == p2[key].read_bytes()
+
+    @pytest.mark.parametrize("d0, steps", [(100.0, 150), (1000.0, 40)], ids=["phila", "binding"])
+    def test_matches_the_reference_writer(self, tmp_path, d0, steps):
+        log = run_simulation(philadelphia_noir(seed=1), SimConfig(seed=1, d0=d0, steps=steps))
+        statuses = {rec.status for rec in log.records}
+        assert ("infeasible" in statuses) == (d0 == 1000.0)
+        assert_same_reports(log, tmp_path)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        densities=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30
+        ),
+        flows=st.lists(st.floats(), max_size=30),
+        sums=st.lists(st.tuples(*[st.floats(-1e12, 1e12)] * 2), min_size=1, max_size=3),
+        n_inlets=st.integers(1, 6),
+    )
+    def test_matches_the_reference_writer_on_any_floats(self, densities, flows, sums, n_inlets):
+        flows = SPECIAL_FLOWS + flows
+        records = tuple(
+            StepRecord(
+                step=k + 1,
+                sum_u=sum_u,
+                sum_v=sum_v,
+                cost=None,
+                status=("optimal", "infeasible")[k % 2],
+                kkt_worst=None,
+                active_set_size=0,
+                d0_applied=1.0,
+                fallback_used=False,
+                slack_capacity=abs(sum_u),
+                slack_negative=abs(sum_v),
+                total_density=sum_u,
+                densities=np.roll(densities, k),
+                flows=np.roll(flows, k),
+            )
+            for k, (sum_u, sum_v) in enumerate(sums)
+        )
+        log = TimeSeriesLog(
+            config=SimConfig(),
+            n_total=len(flows) + len(densities),
+            n_inlets=n_inlets,
+            n_outlets=len(flows) - n_inlets,
+            initial_densities=np.zeros(len(densities)),
+            records=records,
+        )
+        with tempfile.TemporaryDirectory() as root:
+            assert_same_reports(log, Path(root))
+
+    def test_rewrite_leaves_only_the_new_run(self, tmp_path):
+        # a longer run's reports in the directory are replaced, not patched:
+        # every file ends where the shorter run's reports end
+        g = generate_grid_noir(3, 3, 2, 2, seed=1)
+        emit_report(run_simulation(g, SimConfig(steps=5, seed=4, d0=8.0)), tmp_path / "out")
+        short = run_simulation(g, SimConfig(steps=2, seed=4, d0=8.0))
+        emitted = emit_report(short, tmp_path / "out")
+        reference = reference_emit_report(short, tmp_path / "reference")
+        for key, path in reference.items():
+            assert emitted[key].read_bytes() == path.read_bytes(), key
 
     def test_integer_real_field_reports_as_float(self, tmp_path):
         # the config echo says "d0": 100.0 whichever type the caller passed

@@ -180,7 +180,8 @@ class TestBuildQp:
             roll = _horizon_reach(x, a, b, cfg)
             pm = build_prediction(a, b, cfg.n_tau)
             scale = 1.0 + np.abs(x).max()
-            assert np.abs(roll.free.ravel() - pm.G @ x).max() <= 1e-12 * scale
+            free = (pm.G @ x).reshape(cfg.n_tau, -1)
+            assert np.abs(roll.rhs - prediction_rhs(free, cfg)).max() <= 1e-12 * scale
             built = build_qp(roll.column, roll.rhs, cfg)
             reference = reference_program(a, b, x, cfg)
             assert built.ineq_matrix.shape == reference.ineq_matrix.shape
@@ -781,9 +782,10 @@ class TestCapacityCertificate:
             free_ref = pm.G @ x
             scale = 1.0 + np.abs(np.tile(cfg.x_max, cfg.n_tau) - free_ref).max()
             roll = _horizon_reach(x, a, b, cfg)
-            low = roll.column.min(axis=2)
-            floor = roll.free + cfg.d0 * np.cumsum(low, axis=0)
-            assert np.abs(roll.free.ravel() - free_ref).max() <= 1e-12 * scale
+            # the free responses, read back from the capacity rows' x_max - free
+            free = cfg.x_max - roll.rhs[: free_ref.size].reshape(cfg.n_tau, -1)
+            floor = free + cfg.d0 * np.cumsum(roll.column.min(axis=2), axis=0)
+            assert np.abs(free.ravel() - free_ref).max() <= 1e-12 * scale
             expected = free_ref[rows] + activity_bound(pm.H, rows, cfg.n_tau, cfg.d0, 0.0, 0.0)
             assert np.abs(floor.ravel()[rows] - expected).max() <= 1e-9 * scale
 

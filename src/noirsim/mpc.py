@@ -3,29 +3,27 @@
 Each step predicts the interior densities over a finite horizon from the
 current state matrix (held fixed across the horizon) and applies only the
 first step of the optimal boundary-flow sequence. The cost is half the
-squared norm of the flows, so under the per-step budget alone the optimum
-is the even split ``d0 / n_input`` at every step. A step tries closed-form
-answers at both ends before the program. It first rolls that split forward
-with ``n_tau`` mat-vecs; when no predicted density breaks its capacity (or,
-under the lower bound, goes negative) the split is the exact optimum and the
-step returns it with its closed-form certificate. It then rolls the horizon
-model itself with sparse products (``_horizon_reach``): the free responses
-``A^j x``, the blocks ``A^m B`` of the prediction's first block column, and
-the least and greatest density that any admissible flow leaves. One presolve
-(``_presolve``) reads every capacity and lower-bound row off those two
-bounds with one row-activity test. When some row exceeds its bound beyond
-the solver's feasibility tolerance at every admissible flow, no flow is
-feasible, and the step returns zero flows with those rows as its
-certificate. Only otherwise does it build a quadratic program, from the same
-roll (``build_qp``), and only from the rows that some admissible flow can
-break or hold active; a row that keeps its slack at every admissible flow is
-left out. The cost and the budget rows are checked and factored once per
-``(n_tau, n_input)``; a step, and each demand probe, checks only the blocks
-that it supplies. The solve starts from the outlets-only split: the demand
-spread evenly over the outlets and none on the inlets. Outlet flows only
-lower densities, so once no capacity row is blocked that point usually meets
-every row and the solver runs no phase-one LP; where it breaks a row, the
-solver's phase one is the fallback.
+squared norm of the flows, so under the per-step budget alone the optimum is
+the even split ``d0 / n_input`` at every step. The prediction rows come from
+one catalogue per config (``MpcConfig.row_sign``, ``row_limit``): blocks of
+``sign * x[j] <= limit`` over every road and horizon step, capacity and,
+under the lower bound, nonnegativity. A step tries closed-form answers at
+both ends before the program. It first rolls the split forward with
+``n_tau`` mat-vecs; when that breaks no row, the split is the exact optimum
+and the step returns it with its closed-form certificate. It then rolls the
+horizon model itself with sparse products (``_horizon_reach``): the free
+responses ``A^j x``, the blocks ``A^m B`` of the prediction's first block
+column, and the least and greatest density that any admissible flow leaves.
+One presolve (``_presolve``) reads every row off those two bounds with one
+row-activity test. When some row exceeds its bound beyond the solver's
+feasibility tolerance at every admissible flow, no flow is feasible, and the
+step returns zero flows with those rows as its certificate. Only otherwise
+does it build a quadratic program, from the same roll (``build_qp``), and
+only from the rows that some admissible flow can break or hold active; a row
+that keeps its slack at every admissible flow is left out. The solve starts
+from the outlets-only split (``_outlets_only``). Outlet flows only lower
+densities, so once no capacity row is blocked that point usually meets every
+row, and the solver runs no phase-one LP.
 
 ``build_prediction`` forms the dense condensed model ``G``, ``H`` from
 ``n_tau`` dense n x n powers of A. The controller does not call it; it is
@@ -35,7 +33,7 @@ the reference that the roll is checked against.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
@@ -54,13 +52,19 @@ class MpcConfig:
     must be finite and positive. The density lower-bound constraint is off
     by default: the autonomous part of the dynamics cannot produce negative
     densities, so the bound only matters when outlet draws overshoot (see
-    ``enforce_density_lower_bound``).
+    ``enforce_density_lower_bound``). ``row_sign`` and ``row_limit``, derived
+    and read-only like ``x_max``, catalogue the prediction rows: block k is
+    ``row_sign[k] * x[j] <= row_limit[k]`` at every road and horizon step j,
+    capacity ``(+1, x_max)`` then, under the lower bound, ``(-1, 0)``. Both
+    broadcast over ``(n_tau, n)``.
     """
 
     d0: float
     x_max: np.ndarray
     n_tau: int = 5
     enforce_density_lower_bound: bool = False
+    row_sign: np.ndarray = field(init=False, repr=False, compare=False)
+    row_limit: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.d0 < np.inf:
@@ -70,7 +74,11 @@ class MpcConfig:
         x_max = np.array(self.x_max, dtype=float, copy=True).reshape(-1)
         if x_max.size == 0 or not ((x_max > 0) & (x_max < np.inf)).all():
             raise ValueError("x_max must be entrywise finite and positive")
-        object.__setattr__(self, "x_max", x_max)
+        sign = np.array([1.0, -1.0])[: 2 if self.enforce_density_lower_bound else 1, None, None]
+        limit = np.stack([x_max, np.zeros_like(x_max)])[: len(sign), None]
+        for name, value in (("x_max", x_max), ("row_sign", sign), ("row_limit", limit)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -149,18 +157,16 @@ def build_qp(
     for j >= c and zero above the block diagonal, and ``rhs`` is the
     prediction rows' right-hand side, ``HorizonRoll.rhs``. Cost is 0.5 *
     ||U||^2 over the stacked boundary flows. Constraints: each horizon
-    step's flows sum to d0 (equality), U >= 0, and predicted densities stay
-    at or below capacity. With the lower bound enabled, predicted densities
-    are additionally kept nonnegative. The cost and the budget rows come
-    checked and factored (``_cost_and_budget``).
+    step's flows sum to d0 (equality), U >= 0, and the catalogued prediction
+    rows (``MpcConfig.row_sign``). The cost and the budget rows come checked
+    and factored (``_cost_and_budget``).
 
     The full program's inequality rows are numbered as they stack: the
-    ``n_tau * n_input`` flow signs ``-U <= 0``; the capacity rows ``H U <=
-    x_max - free``, road r at horizon step j + 1 being row ``j * n_state +
-    r`` of the block; then, under the lower bound, ``-H U <= free`` in the
-    same order. ``rows``, in increasing order, picks the rows that the
-    program holds (all of them when None); only those are written, straight
-    into one array.
+    ``n_tau * n_input`` flow signs ``-U <= 0``, then each catalogued block's
+    rows ``sign * H U <= limit - sign * free``, road r at horizon step j + 1
+    being row ``j * n_state + r`` of the block. ``rows``, in increasing
+    order, picks the rows that the program holds (all of them when None);
+    only those are written, straight into one array.
     """
     n_tau, n_state, n_input = column.shape
     n = n_tau * n_input
@@ -172,11 +178,11 @@ def build_qp(
     edges = np.searchsorted(rows, np.arange(n, rhs.size + 1, n_state))
     ineq[np.arange(edges[0]), rows[: edges[0]]] = -1.0
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        lower_bound, j = divmod(i, n_tau)
+        block, j = divmod(i, n_tau)
         road = rows[lo:hi] - (n + i * n_state)
-        for c in range(j + 1):  # H's block (j, c)
-            part = column[j - c][road]
-            ineq[lo:hi, c * n_input : (c + 1) * n_input] = -part if lower_bound else part
+        # H's blocks (j, 0), ..., (j, j) are column[j], ..., column[0]
+        part = column[j::-1, road].transpose(1, 0, 2).reshape(hi - lo, (j + 1) * n_input)
+        ineq[lo:hi, : (j + 1) * n_input] = config.row_sign[block] * part
 
     return _cost_and_budget(n_tau, n_input).with_blocks(
         eq_rhs=np.full(n_tau, float(config.d0)), ineq_matrix=ineq, ineq_rhs=rhs[rows]
@@ -191,24 +197,20 @@ def _even_split(
 
     With ``lam = 0`` and ``nu_k = -d0 / n_input`` the split meets
     stationarity and the per-step sums; ``U >= 0`` holds because ``d0 > 0``,
-    and the densities rolled forward here cover the capacity and lower-bound
-    rows.
+    and the densities rolled forward here cover the catalogued rows.
     """
     n_state, n_input = b.shape
     s_bar = np.full(n_input, config.d0 / n_input)
     inflow = b @ s_bar
-    x_hat = x
-    for _ in range(config.n_tau):
-        x_hat = a @ x_hat + inflow
-        # written so that a NaN density falls through as well
-        if not (x_hat <= config.x_max).all():
-            return None
-        if config.enforce_density_lower_bound and not (x_hat >= 0.0).all():
-            return None
+    x_hat = np.empty((config.n_tau, n_state))
+    for m in range(config.n_tau):
+        x_hat[m] = a @ (x_hat[m - 1] if m else x) + inflow
+    # written so that a NaN density falls through as well
+    if not (config.row_sign * x_hat <= config.row_limit).all():
+        return None
 
     u = np.tile(s_bar, config.n_tau)
     nu = np.full(config.n_tau, -s_bar[0])
-    bound_rows = config.n_tau * n_state * (2 if config.enforce_density_lower_bound else 1)
     # lam = 0 and every row holds, so the inequality residuals are zero
     kkt = KktResiduals(
         stationarity=float(np.abs(u + np.repeat(nu, n_input)).max()),
@@ -223,7 +225,7 @@ def _even_split(
         cost=float(0.5 * u @ u),
         kkt=kkt,
         eq_duals=nu,
-        ineq_duals=np.zeros(u.size + bound_rows),
+        ineq_duals=np.zeros(u.size + config.n_tau * config.row_limit.size),
         n_iterations=0,
         active_set=(),
     )
@@ -235,9 +237,8 @@ class HorizonRoll:
 
     Row ``j`` of ``column``, ``floor`` and ``ceiling`` belongs to horizon
     step ``j + 1``: ``column[j] = A^j B`` is a block of H's first block
-    column, which ``build_qp`` takes with ``rhs``: the full program's
-    right-hand side on its prediction rows, in ``build_qp``'s order after
-    the flow signs, from the free responses ``A^(j+1) x``.
+    column, which ``build_qp`` takes with ``rhs``: ``limit - sign * A^(j+1) x``
+    for each catalogued row, in ``build_qp``'s order after the flow signs.
     ``h_limit`` is the feasibility test's limit on the inequality rows, which
     ``rhs`` sets. ``floor[j, r]`` and ``ceiling[j, r]`` bound road r's
     predicted density over every point that ``solve_qp``'s feasibility test
@@ -280,17 +281,17 @@ def _horizon_reach(
     """
     n_tau, n_input = config.n_tau, b.shape[1]
     column = np.empty((n_tau, *b.shape))
-    free = np.empty((n_tau, x.size))
+    free, low, high, total = np.empty((4, n_tau, x.size))
     column[0], x_hat = b, x
     for m in range(n_tau):
         if m:
             column[m] = a @ column[m - 1]
         x_hat = free[m] = a @ x_hat
-    low, high, total = column.min(axis=2), column.max(axis=2), column.sum(axis=2)
+        by_road = column[m].T.copy()  # road-major: each bound reduces contiguous rows
+        low[m], high[m], total[m] = by_road.min(axis=0), by_road.max(axis=0), by_road.sum(axis=0)
     spread_low, spread_high = total - n_input * low, n_input * high - total
 
-    rhs = [config.x_max - free] + ([free] if config.enforce_density_lower_bound else [])
-    rhs = np.concatenate(rhs).ravel()
+    rhs = (config.row_limit - config.row_sign * free).ravel()
     h_limit = feasibility_limit(rhs)
     b_limit = feasibility_limit(np.array([config.d0]))
     down = config.d0 * np.minimum(low, 0.0) - b_limit * np.abs(low) - h_limit * spread_low
@@ -307,9 +308,9 @@ def _presolve(roll: HorizonRoll, config: MpcConfig) -> tuple[np.ndarray, np.ndar
     feasibility test meets, and the rows that the program must hold, both in
     ``build_qp``'s numbering and increasing order.
 
-    Over the admitted points a row's excess over its right-hand side lies in
-    ``[least, most]``: ``[floor - x_max, ceiling - x_max]`` for a capacity
-    row and ``[-ceiling, -floor]`` for a lower-bound row. A row with ``least
+    Over the admitted points a row's excess ``sign * x - limit`` lies in
+    ``[least, most]``, its ends read off ``floor`` and ``ceiling`` in the
+    order that the block's sign sets. A row with ``least
     > h_limit`` is blocked: no start passes the test, so ``solve_qp`` would
     return INFEASIBLE, and since the bounds hold at every demand in ``[0,
     d0]``, so would the zero-demand probe. A row with ``most < -h_limit``
@@ -324,15 +325,14 @@ def _presolve(roll: HorizonRoll, config: MpcConfig) -> tuple[np.ndarray, np.ndar
     so the program's feasibility limit, and with it every verdict, is the
     full program's.
     """
-    least, most = [roll.floor - config.x_max], [roll.ceiling - config.x_max]
-    if config.enforce_density_lower_bound:
-        least.append(-roll.ceiling)
-        most.append(-roll.floor)
+    sign, up = config.row_sign, config.row_sign > 0
+    least = sign * np.where(up, roll.floor, roll.ceiling) - config.row_limit
+    most = sign * np.where(up, roll.ceiling, roll.floor) - config.row_limit
     n = roll.n_variables
     # a NaN density makes h_limit NaN and every comparison False: it blocks
     # no row and keeps every row
-    blocked = n + np.flatnonzero(np.concatenate(least) > roll.h_limit)
-    kept = ~(np.concatenate(most) < -roll.h_limit).ravel()
+    blocked = n + np.flatnonzero(least > roll.h_limit)
+    kept = ~(most < -roll.h_limit).ravel()
     kept[np.argmax(np.abs(roll.rhs))] = True
     return blocked, np.concatenate([np.arange(n), n + np.flatnonzero(kept)])
 
@@ -395,7 +395,7 @@ def control_step(
     Closed-form answers at both ends come first and build no program: the
     even split when it is the exact optimum (``_even_split``, optimal with 0
     iterations), and zero flows when the presolve (``_presolve``) finds a
-    capacity or lower-bound row blocked, under either bound (infeasible with
+    catalogued row blocked, of either kind (infeasible with
     those rows as certificate). Otherwise the program is built from the same
     roll, with only the rows that the presolve keeps; the solution's active
     set, multipliers and certificate are given in the full program's row

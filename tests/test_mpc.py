@@ -68,6 +68,21 @@ class TestMpcConfig:
         with pytest.raises(ValueError, match="x_max"):
             MpcConfig(d0=100.0, x_max=np.array([np.inf, 60.0]))
 
+    def test_row_catalogue(self):
+        # capacity rows, then under the lower bound nonnegativity rows; the
+        # catalogue is read-only and rebuilt whenever a config is replaced
+        cfg = MpcConfig(d0=10.0, x_max=np.array([6.0, 8.0]))
+        assert cfg.row_sign.ravel().tolist() == [1.0]
+        assert cfg.row_limit.reshape(-1, 2).tolist() == [[6.0, 8.0]]
+        on = replace(cfg, enforce_density_lower_bound=True)
+        assert on.row_sign.ravel().tolist() == [1.0, -1.0]
+        assert on.row_limit.reshape(-1, 2).tolist() == [[6.0, 8.0], [0.0, 0.0]]
+        wider = replace(on, x_max=np.array([7.0, 9.0]))
+        assert wider.row_limit.reshape(-1, 2).tolist() == [[7.0, 9.0], [0.0, 0.0]]
+        for array in (on.x_max, on.row_sign, on.row_limit):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
 
 class TestBuildPrediction:
     def test_single_step_horizon(self):
@@ -169,11 +184,29 @@ class TestBuildQp:
         # the program built from the sparse roll and the one built from
         # build_prediction's dense powers agree row for row
         g = philadelphia_noir(seed=1)
-        b = assemble_input_matrix(g)
         cfg = MpcConfig(
             d0=1000.0, x_max=g.capacity_vector(), n_tau=5, enforce_density_lower_bound=lower_bound
         )
-        rng = np.random.default_rng(3)
+        self.check_roll_against_the_dense_reference(g, cfg, np.random.default_rng(3))
+
+    # grid 0 has 31 interior roads and 12 boundary roads; grids 11 (4 and
+    # 6) and 12 (17 and 20) have more boundary roads than interior roads
+    @pytest.mark.parametrize("lower_bound", [False, True])
+    @pytest.mark.parametrize("grid_seed", [0, 11, 12])
+    def test_roll_matches_the_dense_reference_on_grids(self, grid_seed, lower_bound):
+        g = random_valid_grid(np.random.default_rng(grid_seed))
+        x_max = g.capacity_vector()
+        cfg = MpcConfig(
+            d0=5.0 * float(x_max.mean()),
+            x_max=x_max,
+            n_tau=4,
+            enforce_density_lower_bound=lower_bound,
+        )
+        self.check_roll_against_the_dense_reference(g, cfg, np.random.default_rng(grid_seed))
+
+    @staticmethod
+    def check_roll_against_the_dense_reference(g, cfg, rng):
+        b = assemble_input_matrix(g)
         for _ in range(4):
             x = rng.uniform(0.0, 0.6 * cfg.x_max)
             a = assemble_state_matrix(*sample_matrices(rng, g, TrafficState(x)))
@@ -188,21 +221,35 @@ class TestBuildQp:
             assert np.abs(built.ineq_matrix - reference.ineq_matrix).max() <= 1e-12
             assert np.abs(built.ineq_rhs - reference.ineq_rhs).max() <= 1e-12 * scale
             assert np.array_equal(built.eq_matrix, reference.eq_matrix)
+            # the rows themselves are -I, H and, under the lower bound, -H of
+            # the dense model, not only the same assembly of other blocks
+            n = cfg.n_tau * pm.n_input
+            blocks = [pm.H, -pm.H] if cfg.enforce_density_lower_bound else [pm.H]
+            assert np.abs(built.ineq_matrix - np.vstack([-np.eye(n), *blocks])).max() <= 1e-12
 
     def test_kept_rows_are_rows_of_the_full_program(self):
         rng = np.random.default_rng(4)
-        n_tau, n_state, n_input = 3, 4, 2
-        free = rng.uniform(0.0, 5.0, (n_tau, n_state))
-        column = rng.uniform(-1.0, 1.0, (n_tau, n_state, n_input))
-        cfg = MpcConfig(
-            d0=10.0, x_max=np.full(n_state, 20.0), n_tau=n_tau, enforce_density_lower_bound=True
-        )
-        full = build_qp(column, prediction_rhs(free, cfg), cfg)
-        for _ in range(10):
-            rows = np.flatnonzero(rng.random(full.ineq_rhs.size) < 0.5)
-            kept = build_qp(column, prediction_rhs(free, cfg), cfg, rows)
-            assert np.array_equal(kept.ineq_matrix, full.ineq_matrix[rows])
-            assert np.array_equal(kept.ineq_rhs, full.ineq_rhs[rows])
+        n_state, n_input = 4, 2
+        for n_tau in (3, 1):
+            free = rng.uniform(0.0, 5.0, (n_tau, n_state))
+            column = rng.uniform(-1.0, 1.0, (n_tau, n_state, n_input))
+            cfg = MpcConfig(
+                d0=10.0, x_max=np.full(n_state, 20.0), n_tau=n_tau, enforce_density_lower_bound=True
+            )
+            full = build_qp(column, prediction_rhs(free, cfg), cfg)
+            n, size = n_tau * n_input, full.ineq_rhs.size
+            # every row group of horizon step n_tau // 2 (both blocks)
+            step = n + (np.arange(2)[:, None] * n_tau + n_tau // 2) * n_state + np.arange(n_state)
+            fixed = [
+                np.arange(n),  # flow signs only: every prediction group is empty
+                np.setdiff1d(np.arange(size), step),
+                np.arange(n + n_tau * n_state, size),  # lower-bound rows only
+            ]
+            randoms = [np.flatnonzero(rng.random(size) < 0.5) for _ in range(10)]
+            for rows in fixed + randoms:
+                kept = build_qp(column, prediction_rhs(free, cfg), cfg, rows)
+                assert np.array_equal(kept.ineq_matrix, full.ineq_matrix[rows])
+                assert np.array_equal(kept.ineq_rhs, full.ineq_rhs[rows])
 
 
 class TestControlStep:

@@ -6,15 +6,15 @@ fractions, and B maps boundary inflows/outflows onto the interior state.
 
 A[k] has one entry per interior-to-interior edge plus the diagonal, a small
 share of the n x n matrix on a street network, so the turn fractions and
-A[k] are ``scipy.sparse`` CSC arrays on that fixed pattern. Each is made by
-one constructor call from its data, row indices and column pointers; no step
-builds a dense n x n array. B stays dense: it has one column per boundary
-road.
+A[k] are ``scipy.sparse`` CSC arrays on that one pattern, which the graph
+derives once: the fractions store 0 on the diagonal, and A[k] shares their
+row indices and column pointers. Each is made by one constructor call from
+its data, row indices and column pointers; no step builds a dense n x n
+array. B stays dense: it has one column per boundary road.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +53,14 @@ def sample_matrices(
     out-neighbors (flat Dirichlet). ``q`` holds their interior-to-interior
     block in state order: ``q[i, j]`` is the fraction of interior node j's
     outflow that enters interior node i, so a column falls short of 1 by
-    the share its road sends to outlets. ``q`` is a sparse CSC array with
-    one stored entry per interior-to-interior edge: those edges, in the
-    graph's (tail, head) order, are its entries column by column with
-    sorted rows. Given the same generator state the result is bit-identical.
-    Where each draw goes, and ``q``'s row indices and column pointers, are
-    the graph's ``turn_plan``, derived on its first draw and kept; a step
-    draws the numbers and sums them, and ``q`` shares the plan's read-only
-    index arrays.
+    the share its road sends to outlets. ``q`` is a sparse CSC array on the
+    state matrix's pattern: one stored entry per interior-to-interior edge
+    and an explicit 0 on each diagonal entry (the graph has no self-loops),
+    column by column with sorted rows. Given the same generator state the
+    result is bit-identical. Where each draw goes, and ``q``'s row indices
+    and column pointers, are the graph's ``turn_plan``, derived on its first
+    draw and kept; a step draws the numbers and sums them, and ``q`` shares
+    the plan's read-only index arrays.
     """
     if not 0.0 < p_max < 1.0:
         raise ValueError(f"p_max must lie strictly between 0 and 1, got {p_max}")
@@ -74,52 +74,23 @@ def sample_matrices(
 
     # One flat Dirichlet per inlet or interior node with two or more
     # out-edges, drawn in (tail, head) order exactly as Generator.dirichlet
-    # computes it: gamma(1) variates, summed left to right (a column at a
-    # time; np.sum and np.add.reduceat can round differently) and multiplied
-    # by the reciprocal of the sum. The inlet splits come first and are
-    # unused; they are drawn so that the random stream, and every later
-    # draw, stays fixed.
+    # computes it: gamma(1) variates, summed left to right (bincount adds
+    # each node's variates in order; np.sum and np.add.reduceat can round
+    # differently) and multiplied by the reciprocal of the sum. The inlet
+    # splits come first and are unused; they are drawn so that the random
+    # stream, and every later draw, stays fixed.
     plan = graph.turn_plan
     gammas = rng.standard_gamma(1.0, size=plan.n_inlet_draws + plan.owner.size)
     gammas = gammas[plan.n_inlet_draws :]
-    padded = np.zeros(plan.shape)
-    padded[plan.owner, plan.slot] = gammas
-    total = np.zeros(plan.shape[0])
-    for column in padded.T:
-        total += column
+    total = np.bincount(plan.owner, weights=gammas)
     data = np.ones(plan.indices.size)
+    data[plan.diagonal] = 0.0
     data[plan.put] = (gammas * (1.0 / total[plan.owner]))[plan.pick]
     q = scipy.sparse.csc_array((data, plan.indices, plan.indptr), shape=(n_i, n_i))
+    # the plan's rows are sorted and distinct in each column; saying so
+    # spares the assembly scipy's scan of them
+    q.has_canonical_format = True
     return p, q
-
-
-@functools.lru_cache(maxsize=8)
-def _with_diagonal(
-    n: int, dtype: np.dtype, indptr: bytes, indices: bytes
-) -> tuple[np.ndarray, ...]:
-    """The pattern of ``q * p + diag(1 - p)`` for a canonical CSC ``q``.
-
-    Returns the column of each entry of ``q``, its slot in the result, the
-    slot of each diagonal entry, and the result's row indices and column
-    pointers. A network's turn fractions keep one pattern from step to
-    step, so this runs once per network, not once per step.
-    """
-    rows = np.frombuffer(indices, dtype=dtype)
-    cols = np.repeat(np.arange(n), np.diff(np.frombuffer(indptr, dtype=dtype)))
-    # the entries of the result, keyed and sorted column by column
-    entry = cols * n + rows
-    keys = np.union1d(entry, np.arange(n) * (n + 1))
-    a_cols, a_rows = np.divmod(keys, n)
-    pattern = (
-        cols,
-        np.searchsorted(keys, entry),
-        np.searchsorted(keys, np.arange(n) * (n + 1)),
-        a_rows,
-        np.searchsorted(a_cols, np.arange(n + 1)),
-    )
-    for arr in pattern:
-        arr.flags.writeable = False
-    return pattern
 
 
 def assemble_state_matrix(
@@ -133,10 +104,12 @@ def assemble_state_matrix(
     in [0, 1], and each equals the same entry of the dense
     ``q * p + diag(1 - p)`` bit for bit.
 
-    ``q`` may be dense or sparse; anything but a CSC array is converted to
-    one, and a CSC array with repeated or unsorted entries is read through a
-    canonical copy. The result is a CSC array whose pattern is ``q``'s plus
-    the diagonal, with sorted rows.
+    ``q`` may be dense or sparse. The result is a CSC array on ``q``'s
+    pattern, sharing its row indices and column pointers, when ``q`` is a
+    canonical CSC array that stores every diagonal entry, as the sampler's
+    does; anything else is first made into one, with repeated entries
+    summed and a missing diagonal entry stored as 0. The result's pattern
+    is ``q``'s plus the diagonal, with sorted rows.
     """
     p = np.asarray(p, dtype=float)
     n = p.size
@@ -144,16 +117,20 @@ def assemble_state_matrix(
         q = scipy.sparse.csc_array(q, dtype=float)
     if q.shape != (n, n):
         raise ValueError(f"fraction matrix shape {q.shape} does not match {n} roads")
-    if not q.has_canonical_format:
-        q = q.copy()
-        q.sum_duplicates()
-    cols, slot, diag, indices, indptr = _with_diagonal(
-        n, q.indices.dtype, q.indptr.tobytes(), q.indices.tobytes()
-    )
-    data = np.zeros(indices.size)
-    data[slot] = q.data * p[cols]
-    data[diag] += 1.0 - p
-    return scipy.sparse.csc_array((data, indices, indptr), shape=(n, n))
+    cols = np.repeat(np.arange(n), q.indptr[1:] - q.indptr[:-1])
+    diagonal = (q.indices == cols).nonzero()[0]
+    if not (diagonal.size == n and q.has_canonical_format):
+        # a canonical copy with an explicit 0 on each diagonal entry: the
+        # (data, (row, col)) constructor sums repeated entries and keeps zeros
+        k = np.arange(n)
+        q = scipy.sparse.csc_array(
+            (np.r_[q.data, np.zeros(n)], (np.r_[q.indices, k], np.r_[cols, k])), shape=(n, n)
+        )
+        cols = np.repeat(k, q.indptr[1:] - q.indptr[:-1])
+        diagonal = (q.indices == cols).nonzero()[0]
+    data = q.data * p[cols]
+    data[diagonal] += 1.0 - p
+    return scipy.sparse.csc_array((data, q.indices, q.indptr), shape=(n, n))
 
 
 def assemble_input_matrix(graph: NoirGraph) -> np.ndarray:

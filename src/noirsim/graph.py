@@ -54,20 +54,19 @@ class TurnPlan(NamedTuple):
     Each inlet and interior node with two or more out-edges splits its
     outflow by one flat Dirichlet draw: a gamma(1) variate per out-edge, all
     drawn in (tail, head) order, so the ``n_inlet_draws`` inlet variates
-    come first. Interior variate k sits at ``(owner[k], slot[k])`` of a
-    padded array of ``shape``, one row per splitting interior node and one
-    column per out-edge slot. The interior-to-interior fraction matrix, in
-    state order, is CSC with row ``indices`` and column pointers ``indptr``;
-    its entries ``put`` come from interior variates ``pick``, and the rest
-    are 1.
+    come first. Interior variate k belongs to the ``owner[k]``-th splitting
+    interior node. The state matrix's pattern, the interior-to-interior
+    edges plus the diagonal in state order, is CSC with row ``indices`` and
+    column pointers ``indptr``; the turn fractions are stored on it, its
+    entries ``put`` from interior variates ``pick``, its ``diagonal`` slots
+    0 and the rest 1.
     """
 
     n_inlet_draws: int
     owner: np.ndarray
-    slot: np.ndarray
-    shape: tuple[int, int]
     pick: np.ndarray
     put: np.ndarray
+    diagonal: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
 
@@ -138,22 +137,24 @@ class NoirGraph:
     def turn_plan(self) -> TurnPlan:
         """The index arrays that ``dynamics.sample_matrices`` draws turn
         fractions through, derived on first use and kept; they are read-only."""
-        nb, tails, heads = self.n_boundary, self.edge_tails, self.edge_heads
-        out_deg = np.diff(self.out_offsets)
-        split = out_deg[tails - 1] >= 2
+        nb, n, tails, heads = self.n_boundary, self.n_interior, self.edge_tails, self.edge_heads
+        split = np.diff(self.out_offsets)[tails - 1] >= 2
         drawn = split & (tails > nb)
-        node = tails[drawn]
-        splitters, owner = np.unique(node, return_inverse=True)
         inner = (tails > nb) & (heads > nb)
+        # the state matrix's entries keyed column by column: the
+        # interior-to-interior edges, then the diagonal (there are no self-loops)
+        col, row = tails[inner] - nb - 1, heads[inner] - nb - 1
+        key = np.concatenate([col * n + row, np.arange(n) * (n + 1)])
+        pattern = np.sort(key)
+        edge_slot, diagonal = np.split(np.searchsorted(pattern, key), [key.size - n])
         plan = TurnPlan(
             n_inlet_draws=int(np.count_nonzero(split & (tails <= self.n_inlets))),
-            owner=owner,
-            slot=np.flatnonzero(drawn) - self.out_offsets[node - 1],
-            shape=(splitters.size, int(out_deg[splitters - 1].max(initial=0))),
+            owner=np.unique(tails[drawn], return_inverse=True)[1],
             pick=np.flatnonzero(inner[drawn]),
-            put=np.flatnonzero(split[inner]),
-            indices=heads[inner] - nb - 1,
-            indptr=np.searchsorted(tails[inner], np.arange(nb + 1, self.n_total + 2)),
+            put=edge_slot[split[inner]],
+            diagonal=diagonal,
+            indices=pattern % n,
+            indptr=np.searchsorted(pattern, np.arange(n + 1) * n),
         )
         for arr in plan:
             if isinstance(arr, np.ndarray):

@@ -211,10 +211,11 @@ def _even_split(
 
     u = np.tile(s_bar, config.n_tau)
     nu = np.full(config.n_tau, -s_bar[0])
-    # lam = 0 and every row holds, so the inequality residuals are zero
+    # u + nu cancels exactly, every step's flows sum as s_bar does, and with
+    # lam = 0 and every row holding the inequality residuals are zero
     kkt = KktResiduals(
-        stationarity=float(np.abs(u + np.repeat(nu, n_input)).max()),
-        primal_equality=float(np.abs(u.reshape(-1, n_input).sum(axis=1) - config.d0).max()),
+        stationarity=0.0,
+        primal_equality=abs(float(s_bar.sum()) - config.d0),
         primal_inequality=0.0,
         complementarity=0.0,
         dual_feasibility=0.0,

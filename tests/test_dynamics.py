@@ -33,6 +33,18 @@ def hand_pq():
     return p, q
 
 
+def hub_graph(flip: bool = False):
+    """An inlet feeding three interior hubs (4, 5, 6) that split over twelve
+    out-edges each: 4 and 6 over the leaves 7..18, 5 over 7..17 and outlet 2.
+    Leaf i drains to outlet 2 or 3 by its parity, swapped by ``flip``."""
+    leaves = range(7, 19)
+    edges = [(1, 4), (1, 5), (1, 6), (5, 2)]
+    edges += [(h, t) for h in (4, 6) for t in leaves] + [(5, t) for t in leaves[:-1]]
+    edges += [(t, 2 + (t + flip) % 2) for t in leaves]
+    nodes = [(RoadClass.INLET, None), (RoadClass.OUTLET, None), (RoadClass.OUTLET, None)]
+    return build_graph(nodes + [(RoadClass.INTERIOR, ATTR)] * 15, edges)
+
+
 def assert_state_matrix_contract(a: np.ndarray, graph, tol: float = 1e-12) -> None:
     """Nonnegative entries, the column-sum trichotomy and a radius below 1.
 
@@ -118,13 +130,17 @@ class TestSampling:
             (generate_grid_noir(seed=1, **GRID_PRESET), generate_grid_noir(seed=2, **GRID_PRESET)),
             (philadelphia_noir(seed=1), philadelphia_noir(seed=2)),
             (generate_grid_noir(3, 4, 2, 2, seed=9), generate_grid_noir(3, 4, 2, 2, seed=10)),
+            (hub_graph(), hub_graph(flip=True)),
         ],
-        ids=["grid-preset", "philadelphia", "grid-3x4"],
+        ids=["grid-preset", "philadelphia", "grid-3x4", "hub-12"],
     )
     def test_matches_per_node_reference_bit_for_bit(self, graph, partner):
         # two graphs of one size but other boundary edges alternate, each
         # drawn from repeatedly, so a turn plan kept under a key that does
-        # not tell them apart serves one graph the other's arrays
+        # not tell them apart serves one graph the other's arrays. The other
+        # graphs split a node over at most 3 edges, where np.sum adds left to
+        # right too; the hubs' 12-way splits are where a total taken by np.sum
+        # or np.add.reduceat rounds differently from Generator.dirichlet's
         assert graph.n_total == partner.n_total and graph.edges != partner.edges
         for seed in range(5):
             for g in (graph, partner):
@@ -197,6 +213,47 @@ class TestStateMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             assemble_state_matrix(np.zeros(2), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("case", ["duplicates-unsorted", "partial-diagonal", "dense"])
+    def test_any_fraction_matrix_gives_the_dense_model(self, case):
+        # inputs that are not a canonical CSC storing every diagonal entry:
+        # the result still equals the dense model bit for bit, on q's
+        # pattern plus the diagonal
+        rng = np.random.default_rng(4)
+        n = 5
+        p = rng.uniform(0.0, 0.9, n)
+        p[1] = 0.0
+        if case == "duplicates-unsorted":
+            # every diagonal entry is stored once, but columns 0 and 2 repeat
+            # an entry and columns 0, 2 and 3 store their rows out of order
+            rows = [4, 0, 4, 1, 3, 2, 1, 3, 3, 0, 4]
+            indptr = [0, 3, 4, 8, 10, 11]
+            q = scipy.sparse.csc_array((rng.uniform(size=11), rows, indptr), shape=(n, n))
+            assert not q.has_canonical_format
+        elif case == "partial-diagonal":
+            # self-routing on roads 0 and 2, an explicit 0 at (4, 1), and no
+            # diagonal entry in columns 1, 3 and 4
+            rows = [0, 3, 4, 2, 0, 1]
+            indptr = [0, 2, 3, 4, 5, 6]
+            data = rng.uniform(size=6)
+            data[2] = 0.0
+            q = scipy.sparse.csc_array((data, rows, indptr), shape=(n, n))
+            assert q.has_canonical_format
+        else:
+            q = rng.uniform(size=(n, n)) * (rng.random((n, n)) < 0.5)
+            q[[0, 2], [0, 2]] = [0.25, 0.5]  # self-routing on two roads
+            q[3, 3] = 0.0
+        a = assemble_state_matrix(p, q)
+        dense = q.toarray() if scipy.sparse.issparse(q) else q
+        assert a.toarray().tobytes() == (dense * p + np.diag(1.0 - p)).tobytes()
+        if scipy.sparse.issparse(q):
+            stored = set(zip(q.tocoo().row.tolist(), q.tocoo().col.tolist()))
+        else:
+            stored = set(zip(*map(np.ndarray.tolist, np.nonzero(q))))
+        pattern = stored | {(i, i) for i in range(n)}
+        cols = np.repeat(np.arange(n), np.diff(a.indptr))
+        assert a.has_canonical_format and a.nnz == len(pattern)
+        assert set(zip(a.indices.tolist(), cols.tolist())) == pattern
 
 
 class TestInputMatrix:
@@ -313,10 +370,17 @@ class TestSparseStateMatrix:
         densities = rng.uniform(0.0, 10.0, g.n_interior)
         densities[rng.random(g.n_interior) < 0.3] = 0.0
         state = TrafficState(densities)
-        a = assemble_state_matrix(*sample_matrices(np.random.default_rng(seed), g, state))
+        probs, fractions = sample_matrices(np.random.default_rng(seed), g, state)
+        a = assemble_state_matrix(probs, fractions)
         p, _, q_ref = reference_sample_matrices(np.random.default_rng(seed), g, state)
         assert isinstance(a, scipy.sparse.csc_array)
         assert a.toarray().tobytes() == (q_ref * p + np.diag(1.0 - p)).tobytes()
+        # q is on A[k]'s pattern already: it stores its n diagonal entries, as 0
+        n = g.n_interior
+        assert np.array_equal(a.indices, fractions.indices)
+        assert np.array_equal(a.indptr, fractions.indptr)
+        on_diagonal = fractions.indices == np.repeat(np.arange(n), np.diff(fractions.indptr))
+        assert np.count_nonzero(on_diagonal) == n and not fractions.data[on_diagonal].any()
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1))

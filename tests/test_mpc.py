@@ -479,6 +479,14 @@ class TestEvenSplitFastPath:
                 continue
             fast += 1
             assert sol.status is SolveStatus.OPTIMAL and sol.active_set == ()
+            # the reported residuals are closed forms, equal to the ones taken
+            # over every flow: u + nu cancels exactly, and each step's flows
+            # sum as the split does
+            s_bar = np.full(b.shape[1], cfg.d0 / b.shape[1])
+            flows = sol.u_star.reshape(cfg.n_tau, -1)
+            assert sol.kkt.stationarity == 0.0 == np.abs(flows + sol.eq_duals[:, None]).max()
+            per_step = np.abs(flows.sum(axis=1) - cfg.d0).max()
+            assert sol.kkt.primal_equality == abs(s_bar.sum() - cfg.d0) == per_step
             problem = reference_program(a, b, state.densities, cfg)
             kkt = kkt_residuals(problem, sol.u_star, sol.eq_duals, sol.ineq_duals)
             assert kkt.worst() <= 1e-8

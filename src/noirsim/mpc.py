@@ -23,7 +23,10 @@ only from the rows that some admissible flow can break or hold active; a row
 that keeps its slack at every admissible flow is left out. The solve starts
 from the outlets-only split (``_outlets_only``). Outlet flows only lower
 densities, so once no capacity row is blocked that point usually meets every
-row, and the solver runs no phase-one LP.
+row, and the solver skips its phase one: the linear program of least worst
+violation, which ``qp.linprog`` solves by proximal point steps on the
+solver's own active-set method and stops at the first feasible point or at
+an exact minimiser.
 
 ``build_prediction`` forms the dense condensed model ``G``, ``H`` from
 ``n_tau`` dense n x n powers of A. The controller does not call it; it is
@@ -354,15 +357,14 @@ def _in_full_rows(sol: QpSolution, rows: np.ndarray, n_rows: int) -> QpSolution:
     )
 
 
-def _outlets_only(b: np.ndarray, n_tau: int, d0: float) -> np.ndarray | None:
+def _outlets_only(outlets: np.ndarray, n_tau: int, d0: float) -> np.ndarray | None:
     """The start that ``control_step`` hands the solver: demand ``d0`` split
-    evenly over the outlet columns of ``b`` (those with a negative entry),
-    zero on every inlet, at each of the ``n_tau`` horizon steps. None when
-    ``b`` has no outlet column. The outlet columns of ``A^m B`` are <= 0,
-    so this point leaves every predicted density at or below its free
-    response.
+    evenly over the outlet columns of ``B`` (``outlets``, the columns with a
+    negative entry), zero on every inlet, at each of the ``n_tau`` horizon
+    steps. None when ``B`` has no outlet column. The outlet columns of
+    ``A^m B`` are <= 0, so this point leaves every predicted density at or
+    below its free response.
     """
-    outlets = (np.asarray(b) < 0).any(axis=0)
     n_outlets = int(outlets.sum())
     if n_outlets == 0:
         return None
@@ -401,9 +403,13 @@ def control_step(
     roll, with only the rows that the presolve keeps; the solution's active
     set, multipliers and certificate are given in the full program's row
     numbering. Every solve of the program, demand probes included, starts
-    from the outlets-only split of its own demand (``_outlets_only``), which
-    ``solve_qp`` vets and, when it breaks a row, replaces by its least-norm
-    or phase-one start; so a feasible binding step usually runs no LP.
+    from the outlets-only split of its own demand (``_outlets_only``, over
+    the outlet columns found once per step), which ``solve_qp`` vets and,
+    when it breaks a row, replaces by its least-norm or phase-one start; so
+    a feasible binding step usually runs no phase one. Phase one
+    (``qp.linprog``) takes proximal point steps, each a strictly convex
+    program solved by ``solve_qp``, until its point passes the feasibility
+    test or stops moving at a point of least worst violation.
 
     If the requested demand is infeasible for the current state and
     ``enforce_density_lower_bound`` is set, the demand is relaxed to the
@@ -437,10 +443,11 @@ def control_step(
         sol = QpSolution(SolveStatus.INFEASIBLE, infeasible_ineq_rows=tuple(map(int, blocked)))
         return np.zeros(n_input), ControlDiagnostics(sol, 0.0, False)
     problem = build_qp(roll.column, roll.rhs, config, rows)
+    outlets = (b < 0).any(axis=0)
 
     def solve(d0: float) -> QpSolution:
         program = problem.with_blocks(eq_rhs=np.full(config.n_tau, d0))
-        sol = solve_qp(program, initial_point=_outlets_only(b, config.n_tau, d0))
+        sol = solve_qp(program, initial_point=_outlets_only(outlets, config.n_tau, d0))
         return _in_full_rows(sol, rows, roll.n_variables + roll.rhs.size)
 
     sol = solve(config.d0)

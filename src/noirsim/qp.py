@@ -25,6 +25,12 @@ decides feasibility: no row violated by more than ``feasibility_limit`` of its
 block's right-hand side, ``_TOL * (1 + max |rhs|)``. When no start passes
 it, the problem comes back infeasible with a certificate: the inequality
 rows still violated beyond that limit at the point of least worst violation.
+That point comes from the solver itself: phase one (``linprog``) solves the
+linear program of least worst violation by proximal point steps, each a
+strictly convex program of this form that ``solve_qp`` solves from a point
+that meets its rows, and it stops at the first point that passes the test
+or at an exact minimiser, which the proximal point method reaches after
+finitely many steps on a linear program (Ferris, Math. Programming 50, 1991).
 All data must be finite: ``QpProblem`` refuses a non-finite ``H``, ``A``,
 ``G``, ``c``, ``b`` or ``h`` (an infinite right-hand side would lift the
 feasibility limit to infinity, and a NaN in a row makes every comparison
@@ -39,9 +45,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
-import scipy.sparse
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
-from scipy.optimize import linprog
 
 
 # Largest asymmetry |H - H'| accepted, relative to max(1, |H|).
@@ -54,6 +58,10 @@ _TOL = 1e-8
 # metric) outside the span of the working rows keeps more than this share of
 # its squared norm; at or below it the row depends on them up to round-off.
 _PIVOT_TOL = 1e-10
+# Phase one's weight on the worst violation, per unit of the inequality
+# right-hand side's scale ``1 + max |h|``, and its cap on proximal steps.
+_PROX_WEIGHT = 1e4
+_PROX_STEPS = 50
 
 
 class SolveStatus(Enum):
@@ -149,10 +157,14 @@ class QpProblem:
             if getattr(self, name).shape != (m, n):
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, not {(m, n)}")
 
-    def with_blocks(self, *, eq_rhs=None, ineq_matrix=None, ineq_rhs=None) -> QpProblem:
+    def with_blocks(
+        self, *, linear=None, eq_rhs=None, ineq_matrix=None, ineq_rhs=None
+    ) -> QpProblem:
         """A copy with each block given (not None) replaced and checked as on
         construction; it shares the other blocks and both factors."""
-        blocks = {"eq_rhs": eq_rhs, "ineq_matrix": ineq_matrix, "ineq_rhs": ineq_rhs}
+        blocks = {
+            "linear": linear, "eq_rhs": eq_rhs, "ineq_matrix": ineq_matrix, "ineq_rhs": ineq_rhs
+        }
         program = copy.copy(self)
         program._admit({name: v for name, v in blocks.items() if v is not None})
         return program
@@ -220,6 +232,23 @@ def feasibility_limit(rhs: np.ndarray) -> float:
     """The largest violation that a feasible point may have in a row of the
     block whose right-hand side is ``rhs``: ``_TOL * (1 + max |rhs|)``."""
     return _TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+
+
+def _violated_rows(problem: QpProblem, u: np.ndarray) -> np.ndarray:
+    """The inequality rows that ``u`` violates beyond their feasibility limit."""
+    h = problem.ineq_rhs
+    return np.flatnonzero(problem.ineq_matrix @ u - h > feasibility_limit(h))
+
+
+def _is_feasible(problem: QpProblem, u: np.ndarray) -> bool:
+    """The one feasibility test: ``u`` is finite and violates no row of
+    either block beyond that block's limit."""
+    if not np.isfinite(u).all():
+        return False
+    a, b = problem.eq_matrix, problem.eq_rhs
+    if b.size and float(np.abs(a @ u - b).max()) > feasibility_limit(b):
+        return False
+    return _violated_rows(problem, u).size == 0
 
 
 class _WorkingSet:
@@ -299,28 +328,55 @@ def _lower_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return dtrtrs(lower.T, rhs, lower=0, trans=1)[0] if lower.size else rhs
 
 
-def _phase_one(
-    a: np.ndarray, b: np.ndarray, g: np.ndarray, h: np.ndarray, n: int
-) -> np.ndarray | None:
-    """The point of least worst inequality violation, or None when the LP fails.
+def linprog(problem: QpProblem, u: np.ndarray) -> np.ndarray:
+    """Phase one from ``u``, a point that meets the equality rows: the first
+    point that passes the feasibility test, or else one of least worst
+    inequality violation.
 
-    Solves ``min s`` subject to ``G u - s <= h``, ``A u = b`` and ``s >= 0``
-    over the ``n + 1`` columns ``(u, s)``.
+    It solves the linear program ``min s`` over ``z = (u, s)`` subject to
+    ``A u = b``, ``G u - s <= h`` and ``s >= 0`` by the proximal point method
+    (Rockafellar, SIAM J. Control Optim. 14(5), 1976): step k solves the
+    strictly convex program ``min rho * s + 0.5 * ||z - z_k||^2`` over the
+    same rows with ``solve_qp``, started from ``z_k``. ``z_0`` is ``u`` with
+    its worst violation as ``s``, so every ``z_k`` meets those rows and no
+    step runs phase one again. The weight ``rho = 1e4 * (1 + max |h|)``
+    comes from the program's own scale. The method stops at the first ``u``
+    that passes the test, or at a fixed point ``z_(k+1) = z_k`` up to
+    round-off: a fixed point is an exact minimiser of the linear program,
+    and on a linear program the method reaches one after finitely many steps
+    (Ferris, "Finite termination of the proximal point algorithm", Math.
+    Programming 50, 1991); the cap of 50 steps only guards against
+    round-off. A step's point is taken on its rows alone, whatever its
+    status, since ``rho`` lifts its multipliers past the absolute KKT test.
+    The program is built once; a step changes only its linear term
+    (``with_blocks``). Every phase one passes through this one name, which
+    ``benchmarks/tracing.py`` times as ``qp.phase_one``.
     """
-    m_e, m_i = a.shape[0], g.shape[0]
-    # Sparse blocks: HiGHS takes a sparse matrix, so dense ones would only be
-    # built here to be converted back inside linprog.
-    sparse = scipy.sparse.csr_matrix
-    res = linprog(
-        np.append(np.zeros(n), 1.0),
-        A_ub=scipy.sparse.hstack([sparse(g), sparse(np.full((m_i, 1), -1.0))], format="csr"),
-        b_ub=h,
-        A_eq=scipy.sparse.hstack([sparse(a), sparse((m_e, 1))], format="csr"),
-        b_eq=b,
-        bounds=[(None, None)] * n + [(0.0, None)],
-        method="highs",
+    g, h = problem.ineq_matrix, problem.ineq_rhs
+    n, m_eq, m_ineq = problem.n_variables, problem.eq_rhs.size, h.size
+    weight = np.zeros(n + 1)
+    weight[n] = _PROX_WEIGHT * (1.0 + float(np.abs(h).max(initial=0.0)))
+    lp = QpProblem(
+        np.eye(n + 1),
+        weight,
+        np.hstack([problem.eq_matrix, np.zeros((m_eq, 1))]),
+        problem.eq_rhs,
+        np.block([[g, np.full((m_ineq, 1), -1.0)], [np.zeros((1, n)), -1.0]]),
+        np.append(h, 0.0),
     )
-    return res.x[:n] if res.success else None
+    z = np.append(u, max(0.0, float((g @ u - h).max(initial=0.0))))
+    if not _is_feasible(lp, z):
+        return u  # u breaks an equality row, and no step could start from z
+    for _ in range(_PROX_STEPS):
+        if _is_feasible(problem, z[:n]):
+            break
+        step = solve_qp(lp.with_blocks(linear=weight - z), initial_point=z).u_star
+        if not _is_feasible(lp, step):
+            break  # round-off left the rows; z is the last point that meets them
+        if float(np.abs(step - z).max()) <= _TOL * (1.0 + float(np.abs(z).max())):
+            break  # a fixed point: z is a point of least worst violation
+        z = step
+    return z[:n]
 
 
 def solve_qp(
@@ -333,10 +389,13 @@ def solve_qp(
     The method starts from the first feasible one of ``initial_point`` (a
     hint, ignored when infeasible or not finite), the least-norm equality
     point ``H⁻¹E'(E H⁻¹ E')⁻¹b`` (the least-squares point when ``H = I``)
-    and the phase-one point of least worst violation; each is computed only
-    when the ones before it fail. When none is feasible the problem is
-    infeasible, and the rows that the phase-one point violates are its
-    certificate (every row if the LP failed).
+    and the phase-one point (``linprog``); each is computed only when the
+    ones before it fail. Phase one starts from the least-norm point and runs
+    proximal point steps, each a solve of this kind from a point that meets
+    its rows, until its point passes the feasibility test or stops moving.
+    A point that stops moving is one of least worst violation; when it
+    fails the test the problem is infeasible, and the rows that it violates
+    are the certificate.
 
     Each iteration solves the KKT system of the working set by its range
     space (see ``_WorkingSet``). The ratio test takes the blocking rows in
@@ -358,31 +417,18 @@ def solve_qp(
     if max_iter is None:
         max_iter = 10 * (n + m_eq + m_ineq)
 
-    b_limit = feasibility_limit(b)
-    h_limit = feasibility_limit(h)
-
-    def violated_rows(u: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(g @ u - h > h_limit)
-
-    def is_feasible(u: np.ndarray) -> bool:
-        if not np.isfinite(u).all():
-            return False
-        if m_eq and float(np.abs(a @ u - b).max()) > b_limit:
-            return False
-        return violated_rows(u).size == 0
-
     ws = _WorkingSet(problem.hessian_factor, *problem.eq_factor)
     u = None
     if initial_point is not None:
         cand = np.asarray(initial_point, dtype=float).reshape(-1)
-        if cand.size == n and is_feasible(cand):
+        if cand.size == n and _is_feasible(problem, cand):
             u = cand.copy()
     if u is None:
         u = ws.step(np.zeros(n), b)[0]
-        if not is_feasible(u):
-            u = _phase_one(a, b, g, h, n)
-            if u is None or not is_feasible(u):
-                bad = range(m_ineq) if u is None else violated_rows(u)
+        if not _is_feasible(problem, u):
+            u = linprog(problem, u)
+            if not _is_feasible(problem, u):
+                bad = _violated_rows(problem, u)
                 return QpSolution(
                     SolveStatus.INFEASIBLE, infeasible_ineq_rows=tuple(map(int, bad))
                 )

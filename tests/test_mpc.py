@@ -319,11 +319,21 @@ class TestControlStep:
     def test_fallback_builds_the_program_once(self, monkeypatch):
         # the bisection above solves ten probes of one program, which differ
         # only in the right-hand side of the equality rows; the cost and the
-        # budget rows are factored once for every step and every probe
+        # budget rows are factored once for every step and every probe. Phase
+        # one builds its own program, with an identity hessian over one more
+        # column, once per call; those factorizations are counted apart
         import noirsim.mpc as mpc
         import noirsim.qp as qp
 
-        built, solved, starts, factored = [], [], [], []
+        built, solved, starts, factored, lps, in_lps = [], [], [], [], [], []
+        linprog = qp.linprog
+
+        def counting_linprog(*args, **kwargs):
+            lps.append(True)
+            try:
+                return linprog(*args, **kwargs)
+            finally:
+                lps[-1] = False
 
         def counting_build(*args):
             built.append(build_qp(*args))
@@ -335,12 +345,13 @@ class TestControlStep:
             return solve_qp(problem, **kwargs)
 
         def counting_dpotrf(*args, **kwargs):
-            factored.append(args[0].shape)
+            (in_lps if lps and lps[-1] else factored).append(args[0].shape)
             return dpotrf(*args, **kwargs)
 
         monkeypatch.setattr(mpc, "build_qp", counting_build)
         monkeypatch.setattr(mpc, "solve_qp", recording_solve)
         monkeypatch.setattr(qp, "dpotrf", counting_dpotrf)
+        monkeypatch.setattr(qp, "linprog", counting_linprog)
         mpc._cost_and_budget.cache_clear()
         a, b = chain_ab(p_values=(0.2, 0.2))
         cfg = MpcConfig(
@@ -364,6 +375,7 @@ class TestControlStep:
         assert len(built) == 2
         assert built[1].hessian_factor is built[0].hessian_factor
         assert factored == [(2, 2)]
+        assert lps and in_lps == [(3, 3)] * len(lps)
 
     @pytest.mark.parametrize("lower_bound", [False, True])
     def test_totally_infeasible_reports_zero_flow(self, monkeypatch, lower_bound):
@@ -585,8 +597,8 @@ class TestOutletsOnlyStart:
 
     def test_split_over_the_outlet_columns(self):
         _, b = two_outlet_chain()
-        assert np.array_equal(_outlets_only(b, 2, 10.0), [0.0, 5.0, 5.0] * 2)
-        assert _outlets_only(np.abs(b), 2, 10.0) is None
+        assert np.array_equal(_outlets_only((b < 0).any(axis=0), 2, 10.0), [0.0, 5.0, 5.0] * 2)
+        assert _outlets_only((np.abs(b) < 0).any(axis=0), 2, 10.0) is None
 
     def test_feasible_binding_step_runs_no_phase_one(self, monkeypatch):
         import noirsim.harness as harness
@@ -1083,7 +1095,8 @@ class TestBindingRows:
         full = reference_program(a, b, state.densities, cfg)
         assert len(built) == 1 and built[0].ineq_rhs.size < full.ineq_rhs.size
         assert sol.status is SolveStatus.OPTIMAL and sol.active_set
-        reference = solve_qp(full, initial_point=_outlets_only(b, cfg.n_tau, cfg.d0))
+        start = _outlets_only((b < 0).any(axis=0), cfg.n_tau, cfg.d0)
+        reference = solve_qp(full, initial_point=start)
         assert reference.status is SolveStatus.OPTIMAL
         assert sol.active_set == reference.active_set
         assert sol.ineq_duals.size == full.ineq_rhs.size

@@ -7,6 +7,7 @@ from noirsim.qp import (
     QpProblem,
     SolveStatus,
     _WorkingSet,
+    feasibility_limit,
     kkt_residuals,
     solve_qp,
 )
@@ -126,6 +127,24 @@ class TestSolve:
                     data["ineq_rhs"],
                 )
 
+    def test_linear_term_swap_shares_the_factors(self):
+        # phase one's proximal steps change only the linear term of its
+        # program: the copy keeps every other block and both factors, and a
+        # non-finite linear term is refused as any other block is
+        problem = budget_problem([[1.0, 0.0]], [30.0])
+        new = problem.with_blocks(linear=[1.0, -2.0])
+        assert np.array_equal(new.linear, [1.0, -2.0])
+        assert np.array_equal(problem.linear, [0.0, 0.0])
+        assert new.hessian_factor is problem.hessian_factor
+        assert new.eq_factor is problem.eq_factor
+        for name in ("hessian", "eq_matrix", "eq_rhs", "ineq_matrix", "ineq_rhs"):
+            assert getattr(new, name) is getattr(problem, name)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="linear must be finite"):
+                problem.with_blocks(linear=[0.0, bad])
+        with pytest.raises(ValueError, match="shape"):
+            problem.with_blocks(linear=np.zeros(3))
+
     @pytest.mark.parametrize(
         "block, new",
         [
@@ -190,31 +209,78 @@ class TestSolve:
         with pytest.raises(ValueError, match="symmetric"):
             QpProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
 
-    def test_phase_one_lp_is_sparse(self, monkeypatch):
-        # the least-norm start (50, 50) breaks u1 <= 30, so phase one runs;
-        # its LP gets [G, -1], one column for the worst violation, as a sparse
-        # matrix, never a dense one
-        import scipy.sparse
+    def test_phase_one_matches_highs(self, monkeypatch):
+        # Phase one's verdict and least worst violation against HiGHS on the
+        # LP min s s.t. G u - s <= h, A u = b, s >= 0, over seeded random
+        # programs of three kinds: random rows; two opposite rows that cannot
+        # both hold, so at every minimiser their violations tie; and
+        # programs feasible at some u_f whose row 0 cuts off the least-norm
+        # start, so phase one runs on a feasible program
+        from scipy.optimize import linprog as highs
 
         import noirsim.qp as qp
 
-        calls, linprog = [], qp.linprog
+        points, linprog = [], qp.linprog
 
         def recording_linprog(*args, **kwargs):
-            calls.append(kwargs)
-            return linprog(*args, **kwargs)
+            points.append(linprog(*args, **kwargs))
+            return points[-1]
 
         monkeypatch.setattr(qp, "linprog", recording_linprog)
-        problem = budget_problem([[1.0, 0.0]], [30.0])
-        sol = solve_qp(problem)
-        assert sol.status is SolveStatus.OPTIMAL
-        assert len(calls) == 1
-        a_ub = calls[0]["A_ub"]
-        assert scipy.sparse.issparse(a_ub)
-        m_ineq = problem.ineq_matrix.shape[0]
-        assert a_ub.shape == (m_ineq, problem.n_variables + 1)
-        assert a_ub.nnz == np.count_nonzero(problem.ineq_matrix) + m_ineq
-        assert scipy.sparse.issparse(calls[0]["A_eq"])
+        rng = np.random.default_rng(34)
+        seen = {"feasible": 0, "infeasible": 0, "tied": 0}
+        for trial in range(60):
+            n, m_ineq = int(rng.integers(2, 8)), int(rng.integers(3, 14))
+            m_eq = int(rng.integers(0, min(3, n)))
+            scale = (1.0, 1e3)[trial % 2]
+            a, b = rng.standard_normal((m_eq, n)), scale * rng.standard_normal(m_eq)
+            g, h = rng.standard_normal((m_ineq, n)), scale * rng.standard_normal(m_ineq)
+            kind = trial % 3
+            if kind == 1:
+                gap = scale * rng.uniform(0.5, 2.0)
+                g[1], h[1] = -g[0], -h[0] - gap
+            elif kind == 2:
+                u_f = scale * rng.standard_normal(n)
+                b = a @ u_f
+                start = a.T @ np.linalg.solve(a @ a.T, b) if m_eq else np.zeros(n)
+                d = start - u_f
+                g[0] = d / np.linalg.norm(d)
+                h = g @ u_f + scale * rng.uniform(0.0, 1.0, m_ineq)
+                h[0] = g[0] @ u_f + 0.5 * np.linalg.norm(d)
+            lp = highs(
+                np.append(np.zeros(n), 1.0),
+                A_ub=np.hstack([g, -np.ones((m_ineq, 1))]),
+                b_ub=h,
+                A_eq=np.hstack([a, np.zeros((m_eq, 1))]) if m_eq else None,
+                b_eq=b if m_eq else None,
+                bounds=[(None, None)] * n + [(0.0, None)],
+                method="highs",
+            )
+            assert lp.success
+            limit = feasibility_limit(h)
+            assert not 1e-3 * limit < lp.fun < 1e3 * limit  # a clear verdict
+            points.clear()
+            sol = solve_qp(QpProblem(np.eye(n), np.zeros(n), a, b, g, h))
+            infeasible = lp.fun > limit
+            assert (sol.status is SolveStatus.INFEASIBLE) is infeasible
+            assert len(points) == 1 or (kind == 0 and not points)
+            if not points:
+                continue
+            u = points[0]
+            worst = max(0.0, float((g @ u - h).max()))
+            if not infeasible:
+                assert worst <= limit
+                seen["feasible"] += 1
+                continue
+            assert abs(worst - lp.fun) <= 1e-9 * (1.0 + np.abs(h).max())
+            # every certificate row is violated beyond the limit at that point
+            rows = list(sol.infeasible_ineq_rows)
+            assert rows and (g[rows] @ u - h[rows] > limit).all()
+            if kind == 1 and lp.fun <= 0.5 * gap + 1e-9 * scale:
+                # the opposite rows set the worst violation, and both reach it
+                assert {0, 1} <= set(rows)
+            seen["tied" if kind == 1 else "infeasible"] += 1
+        assert min(seen.values()) >= 10, seen
 
 
 def spd_working_set(rng, n, m_eq, m_ineq):

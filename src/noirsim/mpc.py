@@ -145,7 +145,8 @@ def _cost_and_budget(n_tau: int, n_input: int) -> QpProblem:
     n = n_tau * n_input
     budget = np.kron(np.eye(n_tau), np.ones((1, n_input)))
     program = QpProblem(np.eye(n), np.zeros(n), budget, np.zeros(n_tau))
-    for name in ("hessian", "linear", "eq_matrix", "eq_rhs", "hessian_factor"):
+    kept = ("hessian", "linear", "eq_matrix", "eq_rhs", "hessian_factor", "hessian_factor_inv")
+    for name in kept:
         getattr(program, name).setflags(write=False)
     return program
 

@@ -9,11 +9,13 @@ Solves problems of the form
 with H symmetric positive definite, using a primal active-set method.
 Iterates stay primal feasible, so capacity-style constraints hold at every
 intermediate point. Each iteration takes a range-space step: with the
-Cholesky factor ``H = L L'`` that ``QpProblem`` keeps from its
-positive-definiteness check, ``W = L⁻¹C'`` for the ``m`` rows ``C`` held as
-equalities and the Cholesky factor of the ``m × m`` Schur complement
-``W'W``, a step costs O(n·m) besides the triangular solves, and a row that
-enters extends that factor by one row. A row enters only when independent of
+Cholesky factor ``H = L L'`` and its inverse, which ``QpProblem`` keeps from
+its positive-definiteness check (a diagonal ``H`` is factored as its square
+root), ``W = L⁻¹C'`` for the ``m`` rows ``C`` held as equalities and the
+inverse of the Cholesky factor of the ``m × m`` Schur complement ``W'W``, a
+step is a few mat-vecs, O(n² + n·m), and a row that enters borders that
+inverse by one row. ``numpy.linalg`` factors and inverts, so the solver
+loads no LAPACK besides numpy's. A row enters only when independent of
 the rows already held, so the working set stays linearly independent and a
 blocking row that depends on it only by round-off cannot cycle the method.
 A solution reported optimal carries KKT residuals at or
@@ -45,7 +47,6 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 
 # Largest asymmetry |H - H'| accepted, relative to max(1, |H|).
@@ -107,6 +108,9 @@ class QpProblem:
     equality rows that the working set's
     pivot rule refuses (dependent, or independent by at most 1e-5 of their
     norm in the metric of ``H⁻¹``, as ``[[1, 0], [1, 1e-6]]``) raise ``ValueError``.
+    The checks leave the factors that every solve starts from: the hessian's
+    lower Cholesky factor ``L`` and ``L⁻¹`` (``_factor_hessian``), and the
+    equality rows' range-space factor.
     """
 
     hessian: np.ndarray
@@ -116,8 +120,10 @@ class QpProblem:
     ineq_matrix: np.ndarray | None = None
     ineq_rhs: np.ndarray | None = None
     # Kept from the checks for the range-space step: the hessian's lower Cholesky
-    # factor L, H = L L', and the equality rows' read-only wt and schur (_WorkingSet).
+    # factor L, H = L L', its inverse L⁻¹, and the equality rows' read-only wt
+    # and schur_inv (_WorkingSet).
     hessian_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    hessian_factor_inv: np.ndarray = field(init=False, repr=False, compare=False)
     eq_factor: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -126,19 +132,15 @@ class QpProblem:
         scale = max(1.0, float(np.abs(h).max(initial=0.0)))
         if float(np.abs(h - h.T).max(initial=0.0)) > _SYM_TOL * scale:
             raise ValueError("hessian must be symmetric")
-        # LAPACK directly, as in _lower_solve: the upper factor of the
-        # Fortran view h.T reads the lower triangle of h, and its transpose
-        # is the C-ordered lower factor, with no copy in either direction.
-        upper, info = dpotrf(h.T, lower=0, clean=1)
-        if info > 0:
-            raise ValueError("hessian must be positive definite (symmetric PSD with full rank)")
-        object.__setattr__(self, "hessian_factor", upper.T)
-        ws = _WorkingSet(self.hessian_factor, np.zeros((0, h.shape[0])), np.zeros((0, 0)))
+        factor, factor_inv = _factor_hessian(h)
+        object.__setattr__(self, "hessian_factor", factor)
+        object.__setattr__(self, "hessian_factor_inv", factor_inv)
+        ws = _WorkingSet(factor_inv, np.zeros((0, h.shape[0])), np.zeros((0, 0)))
         if not all(ws.try_add(i, row) for i, row in enumerate(self.eq_matrix)):
             raise ValueError("equality rows must be linearly independent")
-        for kept in (ws.wt, ws.schur):  # shared by every solve's working set
+        for kept in (ws.wt, ws.schur_inv):  # shared by every solve's working set
             kept.setflags(write=False)
-        object.__setattr__(self, "eq_factor", (ws.wt, ws.schur))
+        object.__setattr__(self, "eq_factor", (ws.wt, ws.schur_inv))
 
     def _admit(self, blocks: dict) -> None:
         """Set ``blocks`` (name to value) normalized and finite, and check the shapes."""
@@ -251,81 +253,93 @@ def _is_feasible(problem: QpProblem, u: np.ndarray) -> bool:
     return _violated_rows(problem, u).size == 0
 
 
+def _factor_hessian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower Cholesky factor ``L`` of ``h`` and its inverse ``L⁻¹``, or
+    ``ValueError`` when ``h`` is not positive definite. A positive diagonal
+    is its own factor's square, in O(n²) rather than O(n³): the controller's
+    cost ``0.5 * ||U||^2`` and phase one's ``0.5 * ||z - z_k||^2`` both have one."""
+    d = h.diagonal()
+    if np.count_nonzero(h) == np.count_nonzero(d) and (d > 0).all():
+        root = np.sqrt(d)
+        return np.diag(root), np.diag(1.0 / root)
+    try:
+        factor = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "hessian must be positive definite (symmetric PSD with full rank)"
+        ) from None
+    return factor, np.linalg.inv(factor)
+
+
 class _WorkingSet:
     """The constraint rows ``C`` that an active-set iteration holds as
     equalities (the equality rows, then the working inequality rows in the
     order they entered) and their range-space factors (Nocedal & Wright,
     *Numerical Optimization*, 2nd ed., §16.5): ``W = L⁻¹C'`` for the
-    hessian's Cholesky factor ``L``, kept as ``wt = W'``, and the lower
-    Cholesky factor ``schur`` of the Schur complement ``S = W'W = C H⁻¹ C'``.
+    hessian's Cholesky factor ``L``, kept as ``wt = W'``, and the inverse
+    ``schur_inv = R⁻¹`` of the lower Cholesky factor ``R`` of the Schur
+    complement ``S = W'W = C H⁻¹ C'``. With ``L⁻¹`` and ``R⁻¹`` kept, every
+    triangular solve is a mat-vec.
 
     A row enters only when it is independent of the rows already in, so ``S``
-    stays positive definite; entering extends ``schur`` by one row, the
-    pivot of the independence test (Gill, Golub, Murray & Saunders, Math.
-    Comp. 28, 1974). Only rows added after construction leave, which refactors
-    ``S``. A factorization that fails raises ``np.linalg.LinAlgError``.
+    stays positive definite; entering borders ``R`` by one row, the pivot of
+    the independence test (Gill, Golub, Murray & Saunders, Math. Comp. 28,
+    1974), and ``R⁻¹`` by the matching row, in O(m²). Only rows added after
+    construction leave, which refactors ``S`` and inverts the new factor. A
+    factorization that fails raises ``np.linalg.LinAlgError``.
     """
 
-    def __init__(self, hessian_factor: np.ndarray, wt: np.ndarray, schur: np.ndarray) -> None:
-        self.hessian_factor = hessian_factor
-        self.wt, self.schur = wt, schur
+    def __init__(self, factor_inv: np.ndarray, wt: np.ndarray, schur_inv: np.ndarray) -> None:
+        self.factor_inv = factor_inv
+        self.wt, self.schur_inv = wt, schur_inv
         self.n_eq = wt.shape[0]
         self.rows: list[int] = []  # rows added since construction, in factor order
 
     def step(self, y: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The solution ``(p, mu)`` of ``H p + C'mu = L y`` and ``C p = residual``.
 
-        With ``S mu = W'y - residual``, ``p = L⁻ᵀ(y - W mu)``: O(n·m) for
-        ``m`` rows, besides the triangular solves, instead of factoring the
-        bordered matrix ``[[H, C'], [C, 0]]``.
+        With ``S mu = W'y - residual``, ``p = L⁻ᵀ(y - W mu)``: O(n² + n·m)
+        for ``m`` rows, instead of factoring the bordered matrix
+        ``[[H, C'], [C, 0]]``.
         """
         mu = residual
         if residual.size:
-            mu = dpotrs(self.schur.T, self.wt @ y - residual, lower=0)[0]
-        p = dtrtrs(self.hessian_factor.T, y - self.wt.T @ mu, lower=0)[0]
+            mu = self.schur_inv.T @ (self.schur_inv @ (self.wt @ y - residual))
+        p = self.factor_inv.T @ (y - self.wt.T @ mu)
         return p, mu
 
     def try_add(self, row: int, g_row: np.ndarray) -> bool:
         """Add row ``row`` with coefficients ``g_row`` when it is
         independent of the working rows, and say whether it was added.
 
-        With ``z = L⁻¹g`` and ``R = schur``, the pivot ``‖z‖² - ‖R⁻¹W'z‖²``
+        With ``z = L⁻¹g`` and ``l = R⁻¹W'z``, the pivot ``d² = ‖z‖² - ‖l‖²``
         is the squared part of ``z`` outside the span of ``W``. At or below
         ``_PIVOT_TOL`` of ``‖z‖²`` the row depends on the working rows; a
-        NaN pivot (a NaN coefficient) is refused too.
+        NaN pivot (a NaN coefficient) is refused too. Otherwise ``R`` gains
+        the row ``[l', d]`` and ``R⁻¹`` the row ``[-l'R⁻¹/d, 1/d]``.
         """
-        z = _lower_solve(self.hessian_factor, g_row)
-        l_row = _lower_solve(self.schur, self.wt @ z)
+        z = self.factor_inv @ g_row
+        l_row = self.schur_inv @ (self.wt @ z)
         zz = float(z @ z)
         pivot = zz - float(l_row @ l_row)
         if not pivot > _PIVOT_TOL * zz:
             return False
+        d = np.sqrt(pivot)
         k = l_row.size
-        schur = np.zeros((k + 1, k + 1))
-        schur[:k, :k] = self.schur
-        schur[k, :k] = l_row
-        schur[k, k] = np.sqrt(pivot)
-        self.schur = schur
+        schur_inv = np.zeros((k + 1, k + 1))
+        schur_inv[:k, :k] = self.schur_inv
+        schur_inv[k, :k] = -(l_row @ self.schur_inv) / d
+        schur_inv[k, k] = 1.0 / d
+        self.schur_inv = schur_inv
         self.wt = np.vstack([self.wt, z])
         self.rows.append(row)
         return True
 
     def drop(self, j: int) -> None:
-        """Remove working inequality row ``rows[j]`` and refactor ``S``."""
+        """Remove working inequality row ``rows[j]``, refactor ``S`` and invert its factor."""
         del self.rows[j]
         self.wt = np.delete(self.wt, self.n_eq + j, axis=0)
-        self.schur = np.linalg.cholesky(self.wt @ self.wt.T)
-
-
-def _lower_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``lower⁻¹ rhs`` for a lower-triangular ``lower`` with a positive diagonal.
-
-    LAPACK is called directly on the transpose, an upper-triangular Fortran
-    view of the C-ordered factor: ``scipy.linalg.solve_triangular`` costs
-    about 20 µs per call in checks and copies, more than the solve itself
-    at a few hundred variables.
-    """
-    return dtrtrs(lower.T, rhs, lower=0, trans=1)[0] if lower.size else rhs
+        self.schur_inv = np.linalg.inv(np.linalg.cholesky(self.wt @ self.wt.T))
 
 
 def linprog(problem: QpProblem, u: np.ndarray) -> np.ndarray:
@@ -417,7 +431,7 @@ def solve_qp(
     if max_iter is None:
         max_iter = 10 * (n + m_eq + m_ineq)
 
-    ws = _WorkingSet(problem.hessian_factor, *problem.eq_factor)
+    ws = _WorkingSet(problem.hessian_factor_inv, *problem.eq_factor)
     u = None
     if initial_point is not None:
         cand = np.asarray(initial_point, dtype=float).reshape(-1)
@@ -434,8 +448,8 @@ def solve_qp(
                 )
 
     factor = problem.hessian_factor
-    # L⁻¹(H u + c) = L'u + L⁻¹c: one triangular solve per solve, not per iteration.
-    linv_c = _lower_solve(factor, c)
+    # L⁻¹(H u + c) = L'u + L⁻¹c: L⁻¹c once per solve, not per iteration.
+    linv_c = problem.hessian_factor_inv @ c
     iterations = 0
     mu = np.zeros(m_eq)
     converged = False

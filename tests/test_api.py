@@ -27,11 +27,12 @@ def test_every_exported_name_resolves_and_is_documented():
         assert re.search(rf"\b{name}\b", readme), name
 
 
-def test_phase_one_leaves_scipy_optimize_unimported():
+def test_phase_one_leaves_scipy_linalg_and_optimize_unimported():
     # A fresh process, since the tests themselves import scipy.optimize as an
     # oracle. The binding run (philadelphia, d0=1000, 40 steps) reaches phase
-    # one, which the solver runs on its own active-set method: neither the
-    # package nor the run imports scipy.optimize.
+    # one, which the solver runs on its own active-set method, and factors
+    # with numpy.linalg: neither the package nor the run imports scipy.linalg
+    # (a second LAPACK in the process) or scipy.optimize.
     code = """
 import sys
 import noirsim.qp as qp
@@ -43,7 +44,7 @@ def counting_linprog(*args, **kwargs):
     return linprog(*args, **kwargs)
 qp.linprog = counting_linprog
 run_simulation(philadelphia_noir(seed=1), SimConfig(seed=1, d0=1000, steps=40))
-print(len(calls), "scipy.optimize" in sys.modules)
+print(len(calls), "scipy.linalg" in sys.modules, "scipy.optimize" in sys.modules)
 """
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
@@ -53,6 +54,6 @@ print(len(calls), "scipy.optimize" in sys.modules)
         text=True,
         check=True,
     )
-    calls, imported = run.stdout.split()
+    calls, *imported = run.stdout.split()
     assert int(calls) >= 1
-    assert imported == "False"
+    assert imported == ["False", "False"]

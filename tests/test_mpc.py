@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse
-from scipy.linalg.lapack import dpotrf
 from scipy.optimize import linprog
 
 from noirsim.dynamics import (
@@ -135,7 +134,10 @@ class TestBuildQp:
         assert problem.eq_matrix.shape == (3, 6)
         assert np.array_equal(problem.eq_rhs, np.full(3, 100.0))
         # every program of a run shares these rows and the cost
-        for shared in (problem.hessian, problem.eq_matrix, problem.hessian_factor):
+        shared_blocks = (
+            problem.hessian, problem.eq_matrix, problem.hessian_factor, problem.hessian_factor_inv
+        )
+        for shared in shared_blocks:
             with pytest.raises(ValueError, match="read-only"):
                 shared[0, 0] = 2.0
         u = np.arange(6, dtype=float)
@@ -326,7 +328,7 @@ class TestControlStep:
         import noirsim.qp as qp
 
         built, solved, starts, factored, lps, in_lps = [], [], [], [], [], []
-        linprog = qp.linprog
+        linprog, factor_hessian = qp.linprog, qp._factor_hessian
 
         def counting_linprog(*args, **kwargs):
             lps.append(True)
@@ -344,13 +346,13 @@ class TestControlStep:
             starts.append(kwargs["initial_point"])
             return solve_qp(problem, **kwargs)
 
-        def counting_dpotrf(*args, **kwargs):
-            (in_lps if lps and lps[-1] else factored).append(args[0].shape)
-            return dpotrf(*args, **kwargs)
+        def counting_factor(h):
+            (in_lps if lps and lps[-1] else factored).append(h.shape)
+            return factor_hessian(h)
 
         monkeypatch.setattr(mpc, "build_qp", counting_build)
         monkeypatch.setattr(mpc, "solve_qp", recording_solve)
-        monkeypatch.setattr(qp, "dpotrf", counting_dpotrf)
+        monkeypatch.setattr(qp, "_factor_hessian", counting_factor)
         monkeypatch.setattr(qp, "linprog", counting_linprog)
         mpc._cost_and_budget.cache_clear()
         a, b = chain_ab(p_values=(0.2, 0.2))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from noirsim.qp import (
     KktResiduals,
     QpProblem,
     SolveStatus,
     _WorkingSet,
+    _factor_hessian,
     feasibility_limit,
     kkt_residuals,
     solve_qp,
@@ -136,6 +136,7 @@ class TestSolve:
         assert np.array_equal(new.linear, [1.0, -2.0])
         assert np.array_equal(problem.linear, [0.0, 0.0])
         assert new.hessian_factor is problem.hessian_factor
+        assert new.hessian_factor_inv is problem.hessian_factor_inv
         assert new.eq_factor is problem.eq_factor
         for name in ("hessian", "eq_matrix", "eq_rhs", "ineq_matrix", "ineq_rhs"):
             assert getattr(new, name) is getattr(problem, name)
@@ -202,8 +203,14 @@ class TestSolve:
                 budget_problem().with_blocks(**blocks)
 
     def test_non_psd_hessian_rejected(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            QpProblem(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2))
+        # a diagonal hessian takes its own factor, and a zero or negative
+        # entry on it is refused as a dense hessian that is not definite is
+        with pytest.raises(ValueError, match="positive definite") as dense:
+            QpProblem(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
+        for diagonal in ([1.0, -1.0], [1.0, 0.0], [-0.0, 2.0], [-3.0, -1.0]):
+            with pytest.raises(ValueError) as diag:
+                QpProblem(np.diag(diagonal), np.zeros(2))
+            assert str(diag.value) == str(dense.value)
 
     def test_asymmetric_hessian_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -290,7 +297,7 @@ def spd_working_set(rng, n, m_eq, m_ineq):
     hessian = root @ root.T + np.diag(rng.uniform(0.1, 10.0, n))
     c = rng.standard_normal((m_eq + m_ineq, n))
     problem = QpProblem(hessian, np.zeros(n), c[:m_eq], np.zeros(m_eq))
-    ws = _WorkingSet(problem.hessian_factor, *problem.eq_factor)
+    ws = _WorkingSet(problem.hessian_factor_inv, *problem.eq_factor)
     for i, row in enumerate(c[m_eq:]):
         assert ws.try_add(i, row)
     return problem, ws, c
@@ -306,23 +313,24 @@ class TestRangeSpaceStep:
             n = int(rng.integers(2, 12))
             m_eq = int(rng.integers(1, n + 1))
             problem, _, _ = spd_working_set(rng, n, m_eq, 0)
-            factor = problem.hessian_factor
+            factor, factor_inv = problem.hessian_factor, problem.hessian_factor_inv
             assert np.array_equal(factor, np.tril(factor))
-            # C-ordered, so the triangular solves take its transpose uncopied
-            assert factor.flags.c_contiguous
             scale = np.abs(problem.hessian).max()
             assert np.abs(factor @ factor.T - problem.hessian).max() <= 1e-12 * scale
-            # R R' = E H⁻¹ E' for the Schur factor R, which no solve may write to
-            wt, schur = problem.eq_factor
-            assert np.array_equal(schur, np.tril(schur))
+            assert np.abs(factor_inv @ factor - np.eye(n)).max() <= 1e-10
+            # R⁻¹ (E H⁻¹ E') R⁻ᵀ = I for the Schur factor R, whose inverse
+            # no solve may write to
+            wt, schur_inv = problem.eq_factor
+            assert np.array_equal(schur_inv, np.tril(schur_inv))
             e = problem.eq_matrix
             gram = e @ np.linalg.solve(problem.hessian, e.T)
-            assert np.abs(schur @ schur.T - gram).max() <= 1e-10 * np.abs(gram).max()
-            assert not wt.flags.writeable and not schur.flags.writeable
-            # a copy with new right-hand sides shares both factors, and may
+            assert np.abs(schur_inv @ gram @ schur_inv.T - np.eye(m_eq)).max() <= 1e-10
+            assert not wt.flags.writeable and not schur_inv.flags.writeable
+            # a copy with new right-hand sides shares every factor, and may
             # not replace the rows that they factor
             new = problem.with_blocks(eq_rhs=np.ones(m_eq))
             assert new.hessian_factor is factor and new.eq_factor is problem.eq_factor
+            assert new.hessian_factor_inv is factor_inv
             with pytest.raises(TypeError, match="eq_matrix"):
                 problem.with_blocks(eq_matrix=e)
 
@@ -343,6 +351,19 @@ class TestRangeSpaceStep:
             expected = h_inv_et @ np.linalg.solve(e @ h_inv_et, b)
             assert np.abs(sol.u_star - expected).max() <= 1e-9 * np.abs(expected).max()
 
+    def test_diagonal_hessian_takes_its_square_root(self):
+        # the same bits as numpy's Cholesky factor of the same diagonal, and
+        # the identity, the controller's and phase one's hessian, exactly
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 40):
+            hessian = np.diag(rng.uniform(1e-3, 1e3, n))
+            factor, factor_inv = _factor_hessian(hessian)
+            assert np.array_equal(factor, np.linalg.cholesky(hessian))
+            assert np.array_equal(factor_inv, np.linalg.inv(factor))
+            identity = np.eye(n)
+            for kept in _factor_hessian(identity):
+                assert np.array_equal(kept, identity)
+
     def test_matches_the_bordered_solve(self):
         rng = np.random.default_rng(14)
         for trial in range(40):
@@ -357,10 +378,13 @@ class TestRangeSpaceStep:
                 c = np.delete(c, m_eq + j, axis=0)
             m = c.shape[0]
             hessian = problem.hessian
+            gram = c @ np.linalg.solve(hessian, c.T)
+            inverted = ws.schur_inv @ gram @ ws.schur_inv.T
+            assert np.abs(inverted - np.eye(m)).max(initial=0.0) <= 1e-10
             r, residual = rng.standard_normal(n), rng.standard_normal(m)
             bordered = np.block([[hessian, c.T], [c, np.zeros((m, m))]])
             reference = np.linalg.solve(bordered, np.concatenate([r, residual]))
-            y = solve_triangular(problem.hessian_factor, r, lower=True)
+            y = np.linalg.solve(problem.hessian_factor, r)
             p, mu = ws.step(y, residual)
             got = np.concatenate([p, mu])
             assert np.abs(got - reference).max() <= 1e-9 * np.abs(reference).max()
@@ -368,12 +392,12 @@ class TestRangeSpaceStep:
     def test_rank_test_refuses_a_dependent_row(self):
         rng = np.random.default_rng(3)
         _, ws, c = spd_working_set(rng, 8, 2, 3)
-        wt, schur = ws.wt, ws.schur
+        wt, schur_inv = ws.wt, ws.schur_inv
         # a combination of an equality row and two working rows
         combination = 3.0 * c[0] - 2.0 * c[2] + 0.5 * c[4]
         assert not ws.try_add(9, combination)
         assert ws.rows == [0, 1, 2]
-        assert ws.wt is wt and ws.schur is schur
+        assert ws.wt is wt and ws.schur_inv is schur_inv
         # a part outside their span of 1e-4 of the row's size is independent
         outside = rng.standard_normal(8)
         outside -= c.T @ np.linalg.lstsq(c.T, outside, rcond=None)[0]
@@ -381,9 +405,12 @@ class TestRangeSpaceStep:
         row = combination + outside
         assert ws.try_add(9, row)
         assert ws.rows == [0, 1, 2, 9]
-        # the factor grew by the pivot's row: it is that of the five rows
+        # the inverse factor grew by the pivot's row: it inverts a factor of
+        # all six rows' gram, whose condition near 5e9 (the row is independent
+        # by 1e-4) would leave R⁻¹ gram R⁻ᵀ off the identity by about 1e-7
         gram = ws.wt @ ws.wt.T
-        assert np.abs(ws.schur @ ws.schur.T - gram).max() <= 1e-10 * np.abs(gram).max()
+        schur = np.linalg.inv(ws.schur_inv)
+        assert np.abs(schur @ schur.T - gram).max() <= 1e-10 * np.abs(gram).max()
 
 
 class TestKktResiduals:

@@ -6,21 +6,88 @@ fractions, and B maps boundary inflows/outflows onto the interior state.
 
 A[k] has one entry per interior-to-interior edge plus the diagonal, a small
 share of the n x n matrix on a street network, so the turn fractions and
-A[k] are ``scipy.sparse`` CSC arrays on that one pattern, which the graph
-derives once: the fractions store 0 on the diagonal, and A[k] shares their
-row indices and column pointers. Each is made by one constructor call from
-its data, row indices and column pointers; no step builds a dense n x n
-array. B stays dense: it has one column per boundary road.
+A[k] are ``PatternMatrix`` values on that one ``graph.Pattern``, which the
+graph derives once: the fractions store 0 on the diagonal, and A[k] shares
+their pattern. A product reads the pattern row by row through its row
+slots, a fixed-width layout (ELLPACK; Bell & Garland, "Implementing sparse
+matrix-vector multiplication on throughput-oriented processors", SC 2009),
+in numpy alone; no step builds a dense n x n array. B stays dense: it has
+one column per boundary road.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
-from .graph import NoirGraph
+from .graph import NoirGraph, Pattern, csc_pattern
+
+
+@dataclass(frozen=True, eq=False)
+class PatternMatrix:
+    """A read-only sparse matrix: CSC ``data`` on a ``graph.Pattern``.
+
+    ``indices``, ``indptr`` and ``shape`` are the pattern's. ``@`` takes a
+    vector or an ``(n_cols, k)`` array and reads each row through the
+    pattern's row slots: one gather of the operand's rows, then
+    ``np.einsum``, which sums the slots' products in slot order into a
+    zeroed output. So each row starts from +0.0 and adds its products in
+    ascending column order, as scipy's ``csc_matvec`` and ``csc_matvecs``
+    do, and a product equals theirs bit for bit. A padded slot's value and
+    gathered operand row are set to 0, so it adds exactly +0.0 whatever the
+    operand holds. ``data`` is made read-only.
+    """
+
+    data: np.ndarray
+    pattern: Pattern
+
+    def __post_init__(self) -> None:
+        self.data.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.pattern.shape
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.pattern.indices
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.pattern.indptr
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray, diagonal: bool = False) -> PatternMatrix:
+        """``a`` on the pattern of its nonzero entries (a NaN counts as one),
+        plus every diagonal entry when ``diagonal`` is set."""
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2:
+            raise ValueError(f"expected a matrix, got an array of shape {a.shape}")
+        stored = a != 0.0
+        if diagonal:
+            stored |= np.eye(*a.shape, dtype=bool)
+        cols, rows = np.nonzero(stored.T)
+        return cls(a[rows, cols], csc_pattern(rows, cols, a.shape))
+
+    @functools.cached_property
+    def _slot_data(self) -> np.ndarray:
+        return np.append(self.data, 0.0)[self.pattern.slot_pos]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        pattern = self.pattern
+        if x.ndim not in (1, 2) or x.shape[0] != pattern.shape[1]:
+            raise ValueError(f"operand shape {x.shape} does not match matrix shape {self.shape}")
+        terms = x.take(pattern.slot_col, axis=0)
+        terms.reshape(-1, *x.shape[1:])[pattern.padding] = 0.0
+        return np.einsum("sn,sn...->n...", self._slot_data, terms)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.pattern.indices, self.pattern.columns] = self.data
+        return dense
 
 
 @dataclass(frozen=True)
@@ -43,7 +110,7 @@ def sample_matrices(
     graph: NoirGraph,
     state: TrafficState,
     p_max: float = 0.9,
-) -> tuple[np.ndarray, scipy.sparse.csc_array]:
+) -> tuple[np.ndarray, PatternMatrix]:
     """Draw one step's outflow probabilities ``p`` and turn fractions ``q``.
 
     ``p[i]`` is the fraction of interior road i's density that leaves it
@@ -53,14 +120,14 @@ def sample_matrices(
     out-neighbors (flat Dirichlet). ``q`` holds their interior-to-interior
     block in state order: ``q[i, j]`` is the fraction of interior node j's
     outflow that enters interior node i, so a column falls short of 1 by
-    the share its road sends to outlets. ``q`` is a sparse CSC array on the
+    the share its road sends to outlets. ``q`` is a ``PatternMatrix`` on the
     state matrix's pattern: one stored entry per interior-to-interior edge
     and an explicit 0 on each diagonal entry (the graph has no self-loops),
     column by column with sorted rows. Given the same generator state the
-    result is bit-identical. Where each draw goes, and ``q``'s row indices
-    and column pointers, are the graph's ``turn_plan``, derived on its first
-    draw and kept; a step draws the numbers and sums them, and ``q`` shares
-    the plan's read-only index arrays.
+    result is bit-identical. Where each draw goes, and ``q``'s pattern, are
+    the graph's ``turn_plan``, derived on its first draw and kept; a step
+    draws the numbers and sums them, and ``q`` shares the plan's read-only
+    pattern.
     """
     if not 0.0 < p_max < 1.0:
         raise ValueError(f"p_max must lie strictly between 0 and 1, got {p_max}")
@@ -83,19 +150,13 @@ def sample_matrices(
     gammas = rng.standard_gamma(1.0, size=plan.n_inlet_draws + plan.owner.size)
     gammas = gammas[plan.n_inlet_draws :]
     total = np.bincount(plan.owner, weights=gammas)
-    data = np.ones(plan.indices.size)
-    data[plan.diagonal] = 0.0
+    data = np.ones(plan.pattern.indices.size)
+    data[plan.pattern.diagonal] = 0.0
     data[plan.put] = (gammas * (1.0 / total[plan.owner]))[plan.pick]
-    q = scipy.sparse.csc_array((data, plan.indices, plan.indptr), shape=(n_i, n_i))
-    # the plan's rows are sorted and distinct in each column; saying so
-    # spares the assembly scipy's scan of them
-    q.has_canonical_format = True
-    return p, q
+    return p, PatternMatrix(data, plan.pattern)
 
 
-def assemble_state_matrix(
-    p: np.ndarray, q: np.ndarray | scipy.sparse.sparray
-) -> scipy.sparse.csc_array:
+def assemble_state_matrix(p: np.ndarray, q: np.ndarray | PatternMatrix) -> PatternMatrix:
     """State matrix of the density update: identity minus outflow plus routed inflow.
 
     Entry (i, j) for i != j is ``q[i, j] * p[j]``; the diagonal is
@@ -104,33 +165,24 @@ def assemble_state_matrix(
     in [0, 1], and each equals the same entry of the dense
     ``q * p + diag(1 - p)`` bit for bit.
 
-    ``q`` may be dense or sparse. The result is a CSC array on ``q``'s
-    pattern, sharing its row indices and column pointers, when ``q`` is a
-    canonical CSC array that stores every diagonal entry, as the sampler's
-    does; anything else is first made into one, with repeated entries
-    summed and a missing diagonal entry stored as 0. The result's pattern
-    is ``q``'s plus the diagonal, with sorted rows.
+    ``q`` is the sampler's ``PatternMatrix``, or any ``PatternMatrix`` that
+    stores every diagonal entry, or a dense array, which is first put on the
+    pattern of its nonzero entries plus the diagonal. The result shares
+    ``q``'s pattern.
     """
     p = np.asarray(p, dtype=float)
     n = p.size
-    if not (scipy.sparse.issparse(q) and q.format == "csc"):
-        q = scipy.sparse.csc_array(q, dtype=float)
-    if q.shape != (n, n):
-        raise ValueError(f"fraction matrix shape {q.shape} does not match {n} roads")
-    cols = np.repeat(np.arange(n), q.indptr[1:] - q.indptr[:-1])
-    diagonal = (q.indices == cols).nonzero()[0]
-    if not (diagonal.size == n and q.has_canonical_format):
-        # a canonical copy with an explicit 0 on each diagonal entry: the
-        # (data, (row, col)) constructor sums repeated entries and keeps zeros
-        k = np.arange(n)
-        q = scipy.sparse.csc_array(
-            (np.r_[q.data, np.zeros(n)], (np.r_[q.indices, k], np.r_[cols, k])), shape=(n, n)
-        )
-        cols = np.repeat(k, q.indptr[1:] - q.indptr[:-1])
-        diagonal = (q.indices == cols).nonzero()[0]
-    data = q.data * p[cols]
-    data[diagonal] += 1.0 - p
-    return scipy.sparse.csc_array((data, q.indices, q.indptr), shape=(n, n))
+    if not isinstance(q, PatternMatrix):
+        q = PatternMatrix.from_dense(q, diagonal=True)
+    pattern = q.pattern
+    if pattern.shape != (n, n):
+        raise ValueError(f"fraction matrix shape {pattern.shape} does not match {n} roads")
+    if pattern.diagonal.size != n:
+        missing = np.setdiff1d(np.arange(n), pattern.columns[pattern.diagonal])[0]
+        raise ValueError(f"fraction matrix stores no diagonal entry for road {missing}")
+    data = q.data * p[pattern.columns]
+    data[pattern.diagonal] += 1.0 - p
+    return PatternMatrix(data, pattern)
 
 
 def assemble_input_matrix(graph: NoirGraph) -> np.ndarray:
@@ -151,13 +203,13 @@ def assemble_input_matrix(graph: NoirGraph) -> np.ndarray:
 
 
 def step(
-    state: TrafficState, a: np.ndarray | scipy.sparse.sparray, b: np.ndarray, s: np.ndarray
+    state: TrafficState, a: np.ndarray | PatternMatrix, b: np.ndarray, s: np.ndarray
 ) -> TrafficState:
     """Advance the density state one step: x' = a x + b s.
 
-    ``a`` may be a dense or a sparse array. No clamping is applied; keeping
-    densities inside their bounds is the controller's job, and any violation
-    should stay visible.
+    ``a`` may be a dense array or a ``PatternMatrix``. No clamping is
+    applied; keeping densities inside their bounds is the controller's job,
+    and any violation should stay visible.
     """
     x = state.densities
     s = np.asarray(s, dtype=float).reshape(-1)

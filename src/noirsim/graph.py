@@ -48,6 +48,60 @@ class RoadAttributes:
             raise ValueError(f"lane count must be at least 1, got {self.lane_count}")
 
 
+class Pattern(NamedTuple):
+    """A sparsity pattern in CSC order and the index arrays derived from it
+    once (``csc_pattern``); every array is read-only.
+
+    Entry e lies in row ``indices[e]`` and column ``columns[e]``. Entries run
+    column by column, column j's at ``indptr[j]:indptr[j + 1]``, with sorted,
+    distinct rows, and ``diagonal`` lists the stored diagonal entries in
+    order. The row slots hold each row's entries in ascending column order,
+    padded to the widest row (ELLPACK): slot s of row i is entry
+    ``slot_pos[s, i]`` in column ``slot_col[s, i]``, both ``(width,
+    n_rows)``. A padded slot has position ``indices.size``, one past the
+    last entry, and column 0, and ``padding`` lists the padded slots as
+    flat indices into ``(width, n_rows)``.
+    """
+
+    shape: tuple[int, int]
+    indices: np.ndarray
+    indptr: np.ndarray
+    columns: np.ndarray
+    diagonal: np.ndarray
+    slot_pos: np.ndarray
+    slot_col: np.ndarray
+    padding: np.ndarray
+
+
+def csc_pattern(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> Pattern:
+    """The pattern of the entries ``(rows[e], cols[e])``, which come sorted
+    by column and then by row, with none repeated."""
+    n_rows, n_cols = shape
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    order = np.lexsort((cols, rows))  # row by row, columns ascending
+    counts = np.bincount(rows, minlength=n_rows)
+    by_row = rows[order]
+    rank = np.arange(order.size) - (np.cumsum(counts) - counts)[by_row]
+    width = max(int(counts.max(initial=0)), 1)
+    slot_pos = np.full((width, n_rows), rows.size)
+    slot_col = np.zeros((width, n_rows), dtype=np.intp)
+    slot_pos[rank, by_row] = order
+    slot_col[rank, by_row] = cols[order]
+    pattern = Pattern(
+        shape=(n_rows, n_cols),
+        indices=rows,
+        indptr=np.searchsorted(cols, np.arange(n_cols + 1)),
+        columns=cols,
+        diagonal=np.flatnonzero(rows == cols),
+        slot_pos=slot_pos,
+        slot_col=slot_col,
+        padding=np.flatnonzero(np.arange(width)[:, None] >= counts),
+    )
+    for arr in pattern[1:]:
+        arr.flags.writeable = False
+    return pattern
+
+
 class TurnPlan(NamedTuple):
     """Where one step's turn-fraction draws go (``NoirGraph.turn_plan``).
 
@@ -55,20 +109,17 @@ class TurnPlan(NamedTuple):
     outflow by one flat Dirichlet draw: a gamma(1) variate per out-edge, all
     drawn in (tail, head) order, so the ``n_inlet_draws`` inlet variates
     come first. Interior variate k belongs to the ``owner[k]``-th splitting
-    interior node. The state matrix's pattern, the interior-to-interior
-    edges plus the diagonal in state order, is CSC with row ``indices`` and
-    column pointers ``indptr``; the turn fractions are stored on it, its
-    entries ``put`` from interior variates ``pick``, its ``diagonal`` slots
-    0 and the rest 1.
+    interior node. ``pattern`` is the state matrix's pattern, the
+    interior-to-interior edges plus the diagonal in state order, with its
+    row slots; the turn fractions are stored on it, its entries ``put``
+    from interior variates ``pick``, its diagonal entries 0 and the rest 1.
     """
 
     n_inlet_draws: int
     owner: np.ndarray
     pick: np.ndarray
     put: np.ndarray
-    diagonal: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
+    pattern: Pattern
 
 
 @dataclass(frozen=True)
@@ -142,19 +193,16 @@ class NoirGraph:
         drawn = split & (tails > nb)
         inner = (tails > nb) & (heads > nb)
         # the state matrix's entries keyed column by column: the
-        # interior-to-interior edges, then the diagonal (there are no self-loops)
+        # interior-to-interior edges and the diagonal (there are no self-loops)
         col, row = tails[inner] - nb - 1, heads[inner] - nb - 1
-        key = np.concatenate([col * n + row, np.arange(n) * (n + 1)])
-        pattern = np.sort(key)
-        edge_slot, diagonal = np.split(np.searchsorted(pattern, key), [key.size - n])
+        key = col * n + row
+        keys = np.sort(np.concatenate([key, np.arange(n) * (n + 1)]))
         plan = TurnPlan(
             n_inlet_draws=int(np.count_nonzero(split & (tails <= self.n_inlets))),
             owner=np.unique(tails[drawn], return_inverse=True)[1],
             pick=np.flatnonzero(inner[drawn]),
-            put=edge_slot[split[inner]],
-            diagonal=diagonal,
-            indices=pattern % n,
-            indptr=np.searchsorted(pattern, np.arange(n + 1) * n),
+            put=np.searchsorted(keys, key)[split[inner]],
+            pattern=csc_pattern(keys % n, keys // n, (n, n)),
         )
         for arr in plan:
             if isinstance(arr, np.ndarray):

@@ -11,9 +11,10 @@ under the lower bound, nonnegativity. A step tries closed-form answers at
 both ends before the program. It first rolls the split forward with
 ``n_tau`` mat-vecs; when that breaks no row, the split is the exact optimum
 and the step returns it with its closed-form certificate. It then rolls the
-horizon model itself with sparse products (``_horizon_reach``): the free
-responses ``A^j x``, the blocks ``A^m B`` of the prediction's first block
-column, and the least and greatest density that any admissible flow leaves.
+horizon model itself with products of the sparse A, a
+``dynamics.PatternMatrix`` (``_horizon_reach``): the free responses
+``A^j x``, the blocks ``A^m B`` of the prediction's first block column, and
+the least and greatest density that any admissible flow leaves.
 One presolve (``_presolve``) reads every row off those two bounds with one
 row-activity test. When some row exceeds its bound beyond the solver's
 feasibility tolerance at every admissible flow, no flow is feasible, and the
@@ -39,10 +40,14 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse
 
 # The assemble_* names are unused here; benchmarks/tracing.py still wraps them.
-from .dynamics import TrafficState, assemble_input_matrix, assemble_state_matrix  # noqa: F401
+from .dynamics import (  # noqa: F401
+    PatternMatrix,
+    TrafficState,
+    assemble_input_matrix,
+    assemble_state_matrix,
+)
 from .qp import KktResiduals, QpProblem, QpSolution, SolveStatus, feasibility_limit, solve_qp
 
 
@@ -101,15 +106,16 @@ class PredictionMatrices:
 
 
 def build_prediction(
-    a: np.ndarray | scipy.sparse.sparray, b: np.ndarray, n_tau: int
+    a: np.ndarray | PatternMatrix, b: np.ndarray, n_tau: int
 ) -> PredictionMatrices:
     """Stack the horizon prediction matrices for fixed (a, b).
 
-    ``a`` may be dense or sparse; a sparse one is densified, and G and H are
-    dense. ``control_step`` does not call this: it is the dense reference
-    for the program that ``build_qp`` builds from the sparse roll.
+    ``a`` may be a dense array or a ``PatternMatrix``, which is densified
+    with ``toarray()``; G and H are dense. ``control_step`` does not call
+    this: it is the dense reference for the program that ``build_qp``
+    builds from the sparse roll.
     """
-    a = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a, dtype=float)
+    a = a.toarray() if isinstance(a, PatternMatrix) else np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not isinstance(n_tau, int) or isinstance(n_tau, bool) or n_tau < 1:
         raise ValueError(f"horizon must be a positive integer, got {n_tau!r}")
@@ -194,7 +200,7 @@ def build_qp(
 
 
 def _even_split(
-    x: np.ndarray, a: scipy.sparse.sparray, b: np.ndarray, config: MpcConfig
+    x: np.ndarray, a: PatternMatrix, b: np.ndarray, config: MpcConfig
 ) -> QpSolution | None:
     """The horizon program's closed-form solution when the even split breaks
     none of its rows, else None.
@@ -262,10 +268,12 @@ class HorizonRoll:
 
 
 def _horizon_reach(
-    x: np.ndarray, a: scipy.sparse.sparray, b: np.ndarray, config: MpcConfig
+    x: np.ndarray, a: PatternMatrix, b: np.ndarray, config: MpcConfig
 ) -> HorizonRoll:
-    """One roll over the horizon: ``n_tau`` mat-vecs and ``n_tau - 1``
-    products ``A @ (A^m B)``, each an n x n_input array.
+    """One roll over the horizon: one mat-vec and ``n_tau - 1`` products
+    ``A @ [A^m B, A^(m+1) x]``, each an n x (n_input + 1) array, so the free
+    response rides along with the blocks as one more column. Each column of
+    a product is summed as a mat-vec of its own would be.
 
     ``U >= 0`` and the per-step sums ``d0`` make each step's flows a scaled
     simplex, so over them step m moves road r's density by at least ``d0 *
@@ -285,13 +293,13 @@ def _horizon_reach(
     only rises and the ceiling only falls, with ``b_limit``.
     """
     n_tau, n_input = config.n_tau, b.shape[1]
-    column = np.empty((n_tau, *b.shape))
-    free, low, high, total = np.empty((4, n_tau, x.size))
-    column[0], x_hat = b, x
+    stacked = np.empty((n_tau, x.size, n_input + 1))
+    stacked[0, :, :n_input], stacked[0, :, n_input] = b, a @ x
+    column, free = stacked[..., :n_input], stacked[..., n_input]
+    low, high, total = np.empty((3, n_tau, x.size))
     for m in range(n_tau):
         if m:
-            column[m] = a @ column[m - 1]
-        x_hat = free[m] = a @ x_hat
+            stacked[m] = a @ stacked[m - 1]
         by_road = column[m].T.copy()  # road-major: each bound reduces contiguous rows
         low[m], high[m], total[m] = by_road.min(axis=0), by_road.max(axis=0), by_road.sum(axis=0)
     spread_low, spread_high = total - n_input * low, n_input * high - total
@@ -384,17 +392,18 @@ class ControlDiagnostics:
 
 def control_step(
     state: TrafficState,
-    a: np.ndarray | scipy.sparse.sparray,
+    a: np.ndarray | PatternMatrix,
     b: np.ndarray,
     config: MpcConfig,
 ) -> tuple[np.ndarray, ControlDiagnostics]:
     """Compute the boundary flows to apply at the current step.
 
     ``a`` is this step's state matrix and ``b`` the network's input matrix;
-    both are held fixed across the horizon. A dense ``a`` is converted to
-    CSC, so a dense copy of the sampled matrix gives the same step. Returns
-    the first block of the optimal stacked sequence together with solve
-    diagnostics. Sizes that do not match the state raise ``ValueError``.
+    both are held fixed across the horizon. A dense ``a`` is put on the
+    pattern of its nonzero entries (``PatternMatrix.from_dense``), so a dense
+    copy of the sampled matrix gives the same step. Returns the first block
+    of the optimal stacked sequence together with solve diagnostics. Sizes
+    that do not match the state raise ``ValueError``.
 
     Closed-form answers at both ends come first and build no program: the
     even split when it is the exact optimum (``_even_split``, optimal with 0
@@ -431,8 +440,8 @@ def control_step(
         raise ValueError(f"input matrix shape {b.shape} does not match state size {n_state}")
     if config.x_max.size != n_state:
         raise ValueError(f"capacity vector has {config.x_max.size} entries, expected {n_state}")
-    if not scipy.sparse.issparse(a):
-        a = scipy.sparse.csc_array(np.asarray(a, dtype=float))
+    if not isinstance(a, PatternMatrix):
+        a = PatternMatrix.from_dense(a)
     n_input = b.shape[1]
 
     sol = _even_split(x, a, b, config)

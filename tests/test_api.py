@@ -27,33 +27,40 @@ def test_every_exported_name_resolves_and_is_documented():
         assert re.search(rf"\b{name}\b", readme), name
 
 
-def test_phase_one_leaves_scipy_linalg_and_optimize_unimported():
-    # A fresh process, since the tests themselves import scipy.optimize as an
-    # oracle. The binding run (philadelphia, d0=1000, 40 steps) reaches phase
-    # one, which the solver runs on its own active-set method, and factors
-    # with numpy.linalg: neither the package nor the run imports scipy.linalg
-    # (a second LAPACK in the process) or scipy.optimize.
+def test_package_runs_without_scipy(tmp_path):
+    # A fresh process, since the tests themselves import scipy as an oracle,
+    # in which any scipy import raises. The CLI's main generates the
+    # philadelphia preset and simulates the binding case from a config file
+    # (d0=1000, 40 steps, 16 of them infeasible, so it exits with 2). That
+    # run reaches phase one, which the solver runs on its own active-set
+    # method and factors with numpy.linalg, and its state matrices are the
+    # package's own sparse type; no scipy module is loaded on the way.
+    (tmp_path / "cfg.json").write_text('{"seed": 1, "d0": 1000, "steps": 40}')
     code = """
 import sys
+sys.modules["scipy"] = None
 import noirsim.qp as qp
-from noirsim import SimConfig, run_simulation
-from noirsim.harness import philadelphia_noir
+from noirsim.cli import main
 calls, linprog = [], qp.linprog
 def counting_linprog(*args, **kwargs):
     calls.append(args)
     return linprog(*args, **kwargs)
 qp.linprog = counting_linprog
-run_simulation(philadelphia_noir(seed=1), SimConfig(seed=1, d0=1000, steps=40))
-print(len(calls), "scipy.linalg" in sys.modules, "scipy.optimize" in sys.modules)
+main(["generate", "--preset", "philadelphia", "--seed", "1", "--out", "net.json"])
+rc = main(["simulate", "--network", "net.json", "--config", "cfg.json", "--out", "out"])
+loaded = [name for name, module in sys.modules.items() if module and name.split(".")[0] == "scipy"]
+print(rc, len(calls), *loaded)
 """
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-c", code],
+        cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    calls, *imported = run.stdout.split()
+    rc, calls, *loaded = run.stdout.splitlines()[-1].split()
+    assert int(rc) == 2 and "16 steps were infeasible" in run.stderr
     assert int(calls) >= 1
-    assert imported == ["False", "False"]
+    assert loaded == []

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noirsim.dynamics import (
+    PatternMatrix,
     TrafficState,
     assemble_input_matrix,
     assemble_state_matrix,
@@ -23,6 +24,9 @@ from helpers import (
     spectral_radius_estimate,
     tiny_graph,
 )
+
+
+PRESET = philadelphia_noir(seed=1)
 
 
 def hand_pq():
@@ -155,8 +159,9 @@ class TestSampling:
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
         for g in (graph, partner):
             assert g.turn_plan is g.turn_plan
-            arrays = [arr for arr in g.turn_plan if isinstance(arr, np.ndarray)]
-            assert len(arrays) == 6 and not any(arr.flags.writeable for arr in arrays)
+            plan = g.turn_plan
+            arrays = [arr for arr in (*plan, *plan.pattern) if isinstance(arr, np.ndarray)]
+            assert len(arrays) == 10 and not any(arr.flags.writeable for arr in arrays)
 
     def test_p_max_domain(self):
         g = tiny_graph()
@@ -170,7 +175,7 @@ class TestSampling:
         rng = np.random.default_rng(8)
         _, fractions = sample_matrices(rng, g, TrafficState(np.ones(g.n_interior)))
         for j in g.interior_ids:
-            col = fractions[:, g.state_index(j)].sum()
+            col = fractions.toarray()[:, g.state_index(j)].sum()
             outs = g.out_neighbors(j)
             n_outlet = sum(1 for t in outs if g.road_class(t) is RoadClass.OUTLET)
             if n_outlet == 0:
@@ -185,7 +190,7 @@ class TestSampling:
         g = chain_graph()
         rng = np.random.default_rng(12)
         _, fractions = sample_matrices(rng, g, TrafficState(np.ones(2)))
-        assert fractions[:, g.state_index(3)].sum() == 0.0
+        assert fractions.toarray()[:, g.state_index(3)].sum() == 0.0
 
 
 class TestStateMatrix:
@@ -208,52 +213,43 @@ class TestStateMatrix:
             np.fill_diagonal(q, 0.0)
             a = assemble_state_matrix(p, q)
             expected = 1.0 - p * (1.0 - q.sum(axis=0))
-            assert np.allclose(a.sum(axis=0), expected, atol=1e-12)
+            assert np.allclose(a.toarray().sum(axis=0), expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             assemble_state_matrix(np.zeros(2), np.zeros((3, 3)))
 
-    @pytest.mark.parametrize("case", ["duplicates-unsorted", "partial-diagonal", "dense"])
+    @pytest.mark.parametrize("case", ["dense-partial-diagonal", "dense"])
     def test_any_fraction_matrix_gives_the_dense_model(self, case):
-        # inputs that are not a canonical CSC storing every diagonal entry:
+        # dense inputs, which store no diagonal entry where q is 0 there:
         # the result still equals the dense model bit for bit, on q's
-        # pattern plus the diagonal
+        # nonzero pattern plus the diagonal, with rows sorted in each column
         rng = np.random.default_rng(4)
         n = 5
         p = rng.uniform(0.0, 0.9, n)
         p[1] = 0.0
-        if case == "duplicates-unsorted":
-            # every diagonal entry is stored once, but columns 0 and 2 repeat
-            # an entry and columns 0, 2 and 3 store their rows out of order
-            rows = [4, 0, 4, 1, 3, 2, 1, 3, 3, 0, 4]
-            indptr = [0, 3, 4, 8, 10, 11]
-            q = scipy.sparse.csc_array((rng.uniform(size=11), rows, indptr), shape=(n, n))
-            assert not q.has_canonical_format
-        elif case == "partial-diagonal":
-            # self-routing on roads 0 and 2, an explicit 0 at (4, 1), and no
-            # diagonal entry in columns 1, 3 and 4
-            rows = [0, 3, 4, 2, 0, 1]
-            indptr = [0, 2, 3, 4, 5, 6]
-            data = rng.uniform(size=6)
-            data[2] = 0.0
-            q = scipy.sparse.csc_array((data, rows, indptr), shape=(n, n))
-            assert q.has_canonical_format
+        if case == "dense-partial-diagonal":
+            # self-routing on roads 0 and 2, and no diagonal entry in
+            # columns 1, 3 and 4
+            q = np.zeros((n, n))
+            q[[0, 3, 4, 2, 0, 1], [0, 0, 1, 2, 3, 4]] = rng.uniform(0.1, 1.0, size=6)
         else:
             q = rng.uniform(size=(n, n)) * (rng.random((n, n)) < 0.5)
             q[[0, 2], [0, 2]] = [0.25, 0.5]  # self-routing on two roads
             q[3, 3] = 0.0
         a = assemble_state_matrix(p, q)
-        dense = q.toarray() if scipy.sparse.issparse(q) else q
-        assert a.toarray().tobytes() == (dense * p + np.diag(1.0 - p)).tobytes()
-        if scipy.sparse.issparse(q):
-            stored = set(zip(q.tocoo().row.tolist(), q.tocoo().col.tolist()))
-        else:
-            stored = set(zip(*map(np.ndarray.tolist, np.nonzero(q))))
-        pattern = stored | {(i, i) for i in range(n)}
+        assert a.toarray().tobytes() == (q * p + np.diag(1.0 - p)).tobytes()
+        pattern = set(zip(*map(np.ndarray.tolist, np.nonzero(q)))) | {(i, i) for i in range(n)}
         cols = np.repeat(np.arange(n), np.diff(a.indptr))
-        assert a.has_canonical_format and a.nnz == len(pattern)
+        assert (np.diff(cols * n + a.indices) > 0).all() and a.data.size == len(pattern)
         assert set(zip(a.indices.tolist(), cols.tolist())) == pattern
+
+    def test_fractions_without_a_diagonal_entry_are_refused(self):
+        # a PatternMatrix q must store every diagonal entry, as the
+        # sampler's does; road 1 of this one has none
+        q = PatternMatrix.from_dense(np.array([[0.5, 0.0], [0.5, 0.0]]))
+        with pytest.raises(ValueError, match="no diagonal entry for road 1"):
+            assemble_state_matrix(np.full(2, 0.5), q)
 
 
 class TestInputMatrix:
@@ -373,7 +369,7 @@ class TestSparseStateMatrix:
         probs, fractions = sample_matrices(np.random.default_rng(seed), g, state)
         a = assemble_state_matrix(probs, fractions)
         p, _, q_ref = reference_sample_matrices(np.random.default_rng(seed), g, state)
-        assert isinstance(a, scipy.sparse.csc_array)
+        assert isinstance(a, PatternMatrix) and isinstance(fractions, PatternMatrix)
         assert a.toarray().tobytes() == (q_ref * p + np.diag(1.0 - p)).tobytes()
         # q is on A[k]'s pattern already: it stores its n diagonal entries, as 0
         n = g.n_interior
@@ -381,6 +377,34 @@ class TestSparseStateMatrix:
         assert np.array_equal(a.indptr, fractions.indptr)
         on_diagonal = fractions.indices == np.repeat(np.arange(n), np.diff(fractions.indptr))
         assert np.count_nonzero(on_diagonal) == n and not fractions.data[on_diagonal].any()
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), preset=st.booleans())
+    def test_products_equal_scipy_byte_for_byte(self, seed, preset):
+        # scipy's csc_matvec and csc_matvecs as the oracle: each row sums its
+        # products in ascending column order from +0.0. Some densities are
+        # negative and some zero, so A[k] stores explicit zeros (p = 0); the
+        # operand -B is -0.0 wherever B is 0, so some rows' terms are all
+        # -0.0 and must sum to +0.0. Rows narrower than the widest read
+        # padded slots: 42 of the preset's 217 rows, and some grids' rows. A
+        # padded slot points at column 0, which one operand holds as inf:
+        # the slot still adds +0.0, as scipy's loop adds nothing.
+        rng = np.random.default_rng(seed)
+        g = PRESET if preset else random_valid_grid(rng)
+        n = g.n_interior
+        densities = rng.uniform(-5.0, 10.0, n)
+        densities[rng.random(n) < 0.3] = 0.0
+        densities[:2] = 0.0, -1.0
+        a = assemble_state_matrix(*sample_matrices(rng, g, TrafficState(densities)))
+        oracle = scipy.sparse.csc_array((a.data, a.indices, a.indptr), shape=a.shape)
+        assert not a.data.all()
+        assert not preset or a.pattern.padding.size
+        minus_b = -assemble_input_matrix(g)
+        spiked = rng.uniform(-1.0, 1.0, (n, 3))
+        spiked[0, 0], spiked[n // 2, 1], spiked[-1, 2] = np.inf, -np.inf, np.nan
+        for operand in (densities, minus_b[:, :1], minus_b, spiked, spiked[:, 0]):
+            assert (a @ operand).tobytes() == (oracle @ operand).tobytes()
+        assert a.toarray().tobytes() == oracle.toarray().tobytes()
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -7,6 +7,7 @@ import scipy.sparse
 from scipy.optimize import linprog
 
 from noirsim.dynamics import (
+    PatternMatrix,
     TrafficState,
     assemble_input_matrix,
     assemble_state_matrix,
@@ -729,7 +730,7 @@ class TestSparseStateMatrix:
         harness.run_simulation(g, SimConfig(steps=3, seed=1))
         assert len(seen) == 3
         for a in seen:
-            assert isinstance(a, scipy.sparse.csc_array)
+            assert isinstance(a, PatternMatrix)
             assert a.shape == (g.n_interior, g.n_interior)
 
     def test_round_off_in_the_plant_keeps_a_binding_step_optimal(self):

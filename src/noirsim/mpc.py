@@ -146,11 +146,12 @@ def build_prediction(
 
 @functools.lru_cache(maxsize=8)
 def _cost_and_budget(n_tau: int, n_input: int) -> QpProblem:
-    """The cost ``0.5 * ||U||^2`` and the budget rows (right-hand side 0), checked
-    and factored once; read-only, since every program of this size shares them."""
+    """The cost ``0.5 * ||U||^2``, its hessian the 1-D identity, and the budget
+    rows (right-hand side 0), checked and factored once; read-only, since every
+    program of this size shares them."""
     n = n_tau * n_input
     budget = np.kron(np.eye(n_tau), np.ones((1, n_input)))
-    program = QpProblem(np.eye(n), np.zeros(n), budget, np.zeros(n_tau))
+    program = QpProblem(np.ones(n), np.zeros(n), budget, np.zeros(n_tau))
     kept = ("hessian", "linear", "eq_matrix", "eq_rhs", "hessian_factor", "hessian_factor_inv")
     for name in kept:
         getattr(program, name).setflags(write=False)
@@ -453,12 +454,16 @@ def control_step(
         sol = QpSolution(SolveStatus.INFEASIBLE, infeasible_ineq_rows=tuple(map(int, blocked)))
         return np.zeros(n_input), ControlDiagnostics(sol, 0.0, False)
     problem = build_qp(roll.column, roll.rhs, config, rows)
+    # the program holds copies of the rows it keeps: the roll's blocks are
+    # freed before any solve or phase one runs
+    n_rows = roll.n_variables + roll.rhs.size
+    del roll
     outlets = (b < 0).any(axis=0)
 
     def solve(d0: float) -> QpSolution:
         program = problem.with_blocks(eq_rhs=np.full(config.n_tau, d0))
         sol = solve_qp(program, initial_point=_outlets_only(outlets, config.n_tau, d0))
-        return _in_full_rows(sol, rows, roll.n_variables + roll.rhs.size)
+        return _in_full_rows(sol, rows, n_rows)
 
     sol = solve(config.d0)
     d0_applied, fallback = config.d0, False

@@ -6,12 +6,14 @@ Solves problems of the form
     subject to  A u  = b
                 G u <= h
 
-with H symmetric positive definite, using a primal active-set method.
+with H symmetric positive definite, using a primal active-set method. A
+1-D ``H`` stands for the diagonal matrix that it holds.
 Iterates stay primal feasible, so capacity-style constraints hold at every
 intermediate point. Each iteration takes a range-space step: with the
 Cholesky factor ``H = L L'`` and its inverse, which ``QpProblem`` keeps from
-its positive-definiteness check (a diagonal ``H`` is factored as its square
-root), ``W = L⁻¹C'`` for the ``m`` rows ``C`` held as equalities and the
+its positive-definiteness check (a diagonal ``H``, 1-D or 2-D, is factored
+as its square root, and both factors are kept as vectors that multiply
+elementwise), ``W = L⁻¹C'`` for the ``m`` rows ``C`` held as equalities and the
 inverse of the Cholesky factor of the ``m × m`` Schur complement ``W'W``, a
 step is a few mat-vecs, O(n² + n·m), and a row that enters borders that
 inverse by one row. ``numpy.linalg`` factors and inverts, so the solver
@@ -103,14 +105,15 @@ class QpProblem:
 
     Construction normalizes and checks the input once: an absent constraint
     block becomes empty and a 1-D block one row; a float array already in
-    shape is kept, not copied. Mismatched shapes, a hessian that is not
+    shape is kept, not copied. A 1-D hessian is the diagonal of a diagonal
+    hessian, and is kept 1-D. Mismatched shapes, a hessian that is not
     symmetric positive definite, a non-finite entry in any block, or
     equality rows that the working set's
     pivot rule refuses (dependent, or independent by at most 1e-5 of their
     norm in the metric of ``H⁻¹``, as ``[[1, 0], [1, 1e-6]]``) raise ``ValueError``.
     The checks leave the factors that every solve starts from: the hessian's
-    lower Cholesky factor ``L`` and ``L⁻¹`` (``_factor_hessian``), and the
-    equality rows' range-space factor.
+    lower Cholesky factor ``L`` and ``L⁻¹`` (``_factor_hessian``; vectors
+    when the hessian is diagonal), and the equality rows' range-space factor.
     """
 
     hessian: np.ndarray
@@ -120,7 +123,8 @@ class QpProblem:
     ineq_matrix: np.ndarray | None = None
     ineq_rhs: np.ndarray | None = None
     # Kept from the checks for the range-space step: the hessian's lower Cholesky
-    # factor L, H = L L', its inverse L⁻¹, and the equality rows' read-only wt
+    # factor L, H = L L', its inverse L⁻¹ (both 1-D, the diagonal, when H is
+    # diagonal), and the equality rows' read-only wt
     # and schur_inv (_WorkingSet).
     hessian_factor: np.ndarray = field(init=False, repr=False, compare=False)
     hessian_factor_inv: np.ndarray = field(init=False, repr=False, compare=False)
@@ -129,13 +133,14 @@ class QpProblem:
     def __post_init__(self) -> None:
         self._admit({f.name: getattr(self, f.name) for f in fields(self) if f.init})
         h = self.hessian
-        scale = max(1.0, float(np.abs(h).max(initial=0.0)))
-        if float(np.abs(h - h.T).max(initial=0.0)) > _SYM_TOL * scale:
-            raise ValueError("hessian must be symmetric")
+        if h.ndim == 2:
+            scale = max(1.0, float(np.abs(h).max(initial=0.0)))
+            if float(np.abs(h - h.T).max(initial=0.0)) > _SYM_TOL * scale:
+                raise ValueError("hessian must be symmetric")
         factor, factor_inv = _factor_hessian(h)
         object.__setattr__(self, "hessian_factor", factor)
         object.__setattr__(self, "hessian_factor_inv", factor_inv)
-        ws = _WorkingSet(factor_inv, np.zeros((0, h.shape[0])), np.zeros((0, 0)))
+        ws = _WorkingSet(factor_inv, np.zeros((0, self.n_variables)), np.zeros((0, 0)))
         if not all(ws.try_add(i, row) for i, row in enumerate(self.eq_matrix)):
             raise ValueError("equality rows must be linearly independent")
         for kept in (ws.wt, ws.schur_inv):  # shared by every solve's working set
@@ -150,14 +155,20 @@ class QpProblem:
             else:  # the hessian is never None, nor made a row
                 v = np.zeros((0, self.n_variables)) if v is None else np.asarray(v, dtype=float)
                 v = v.reshape(1, -1) if v.ndim == 1 and name != "hessian" else v
-            if not np.isfinite(v).all():
+            # two reductions, where np.isfinite would allocate a mask the size
+            # of the block; a NaN makes both comparisons False
+            if not (-np.inf < v.min(initial=0.0) and v.max(initial=0.0) < np.inf):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v)
         n = self.n_variables
-        rows = {"hessian": n, "eq_matrix": self.eq_rhs.size, "ineq_matrix": self.ineq_rhs.size}
-        for name, m in rows.items():
-            if getattr(self, name).shape != (m, n):
-                raise ValueError(f"{name} has shape {getattr(self, name).shape}, not {(m, n)}")
+        shapes = {
+            "hessian": (n,) if self.hessian.ndim == 1 else (n, n),
+            "eq_matrix": (self.eq_rhs.size, n),
+            "ineq_matrix": (self.ineq_rhs.size, n),
+        }
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, not {shape}")
 
     def with_blocks(
         self, *, linear=None, eq_rhs=None, ineq_matrix=None, ineq_rhs=None
@@ -176,7 +187,8 @@ class QpProblem:
         return self.linear.size
 
     def cost(self, u: np.ndarray) -> float:
-        return float(0.5 * u @ self.hessian @ u + self.linear @ u)
+        h, half = self.hessian, 0.5 * u
+        return float((half * h if h.ndim == 1 else half @ h) @ u + self.linear @ u)
 
 
 @dataclass(frozen=True)
@@ -215,7 +227,7 @@ def kkt_residuals(
     if nu.size != a.shape[0] or lam.size != g.shape[0]:
         raise ValueError("dual vector dimensions are inconsistent")
 
-    grad = problem.hessian @ u + problem.linear
+    grad = _times(problem.hessian, u) + problem.linear
     if a.shape[0]:
         grad = grad + a.T @ nu
     if g.shape[0]:
@@ -255,20 +267,29 @@ def _is_feasible(problem: QpProblem, u: np.ndarray) -> bool:
 
 def _factor_hessian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lower Cholesky factor ``L`` of ``h`` and its inverse ``L⁻¹``, or
-    ``ValueError`` when ``h`` is not positive definite. A positive diagonal
-    is its own factor's square, in O(n²) rather than O(n³): the controller's
-    cost ``0.5 * ||U||^2`` and phase one's ``0.5 * ||z - z_k||^2`` both have one."""
-    d = h.diagonal()
-    if np.count_nonzero(h) == np.count_nonzero(d) and (d > 0).all():
-        root = np.sqrt(d)
-        return np.diag(root), np.diag(1.0 / root)
-    try:
-        factor = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "hessian must be positive definite (symmetric PSD with full rank)"
-        ) from None
-    return factor, np.linalg.inv(factor)
+    ``ValueError`` when ``h`` is not positive definite. A diagonal ``h``,
+    1-D or a 2-D matrix whose nonzeros all lie on its diagonal, is factored
+    as its square root in O(n), and both factors are returned as vectors,
+    the diagonals of ``L`` and ``L⁻¹`` (``_times`` multiplies by them): the
+    controller's cost ``0.5 * ||U||^2`` and phase one's ``0.5 * ||z - z_k||^2``
+    both have one."""
+    d = h if h.ndim == 1 else h.diagonal()
+    if h.ndim == 1 or np.count_nonzero(h) == np.count_nonzero(d):
+        if (d > 0).all():
+            root = np.sqrt(d)
+            return root, 1.0 / root
+    else:
+        try:
+            factor = np.linalg.cholesky(h)
+            return factor, np.linalg.inv(factor)
+        except np.linalg.LinAlgError:
+            pass
+    raise ValueError("hessian must be positive definite (symmetric PSD with full rank)")
+
+
+def _times(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m @ v``, a 1-D ``m`` standing for the diagonal matrix that it holds."""
+    return m * v if m.ndim == 1 else m @ v
 
 
 class _WorkingSet:
@@ -305,7 +326,7 @@ class _WorkingSet:
         mu = residual
         if residual.size:
             mu = self.schur_inv.T @ (self.schur_inv @ (self.wt @ y - residual))
-        p = self.factor_inv.T @ (y - self.wt.T @ mu)
+        p = _times(self.factor_inv.T, y - self.wt.T @ mu)
         return p, mu
 
     def try_add(self, row: int, g_row: np.ndarray) -> bool:
@@ -318,7 +339,7 @@ class _WorkingSet:
         NaN pivot (a NaN coefficient) is refused too. Otherwise ``R`` gains
         the row ``[l', d]`` and ``R⁻¹`` the row ``[-l'R⁻¹/d, 1/d]``.
         """
-        z = self.factor_inv @ g_row
+        z = _times(self.factor_inv, g_row)
         l_row = self.schur_inv @ (self.wt @ z)
         zz = float(z @ z)
         pivot = zz - float(l_row @ l_row)
@@ -370,12 +391,19 @@ def linprog(problem: QpProblem, u: np.ndarray) -> np.ndarray:
     n, m_eq, m_ineq = problem.n_variables, problem.eq_rhs.size, h.size
     weight = np.zeros(n + 1)
     weight[n] = _PROX_WEIGHT * (1.0 + float(np.abs(h).max(initial=0.0)))
+    # the rows [[G, -1], [0, -1]], written once into one array; np.empty, as
+    # a calloc (np.zeros) of this size took fresh pages on every call, which
+    # tripled an overload run's minor page faults
+    rows = np.empty((m_ineq + 1, n + 1))
+    rows[:m_ineq, :n] = g
+    rows[m_ineq, :n] = 0.0
+    rows[:, n] = -1.0
     lp = QpProblem(
-        np.eye(n + 1),
+        np.ones(n + 1),
         weight,
         np.hstack([problem.eq_matrix, np.zeros((m_eq, 1))]),
         problem.eq_rhs,
-        np.block([[g, np.full((m_ineq, 1), -1.0)], [np.zeros((1, n)), -1.0]]),
+        rows,
         np.append(h, 0.0),
     )
     z = np.append(u, max(0.0, float((g @ u - h).max(initial=0.0))))
@@ -449,7 +477,7 @@ def solve_qp(
 
     factor = problem.hessian_factor
     # L⁻¹(H u + c) = L'u + L⁻¹c: L⁻¹c once per solve, not per iteration.
-    linv_c = problem.hessian_factor_inv @ c
+    linv_c = _times(problem.hessian_factor_inv, c)
     iterations = 0
     mu = np.zeros(m_eq)
     converged = False
@@ -459,7 +487,7 @@ def solve_qp(
 
     while iterations < max_iter:
         iterations += 1
-        p, mu = ws.step(-(factor.T @ u + linv_c), working_residual(u))
+        p, mu = ws.step(-(_times(factor.T, u) + linv_c), working_residual(u))
         step_ref = 1.0 + float(np.abs(u).max(initial=0.0))
 
         if float(np.abs(p).max(initial=0.0)) <= _TOL * step_ref:
@@ -471,7 +499,7 @@ def solve_qp(
                 # which multipliers near 1e4 lift past _TOL in
                 # complementarity. Solving for corrections from the residuals
                 # shrinks them to round-off of the residuals themselves.
-                y = -(factor.T @ u + linv_c + ws.wt.T @ mu)
+                y = -(_times(factor.T, u) + linv_c + ws.wt.T @ mu)
                 dp, dmu = ws.step(y, working_residual(u))
                 u, mu = u + dp, mu + dmu
                 converged = True

@@ -145,6 +145,16 @@ class TestBuildQp:
         sums = problem.eq_matrix @ u
         assert sums == pytest.approx([0 + 1, 2 + 3, 4 + 5])
 
+    def test_cost_is_kept_as_vectors(self):
+        # the identity hessian of 0.5 * ||U||^2 and both of its factors are
+        # 1-D, n_tau * n_input entries of 1.0
+        import noirsim.mpc as mpc
+
+        program = mpc._cost_and_budget(5, 42)
+        for kept in (program.hessian, program.hessian_factor, program.hessian_factor_inv):
+            assert kept.shape == (210,)
+            assert kept.tobytes() == np.ones(210).tobytes()
+
     def test_matches_grid_search_oracle(self):
         # chain network, horizon 2, capacities tight enough to bind
         a = np.array([[0.5, 0.5], [0.0, 0.5]])
@@ -324,7 +334,8 @@ class TestControlStep:
         # only in the right-hand side of the equality rows; the cost and the
         # budget rows are factored once for every step and every probe. Phase
         # one builds its own program, with an identity hessian over one more
-        # column, once per call; those factorizations are counted apart
+        # column, once per call; those factorizations are counted apart. Both
+        # hessians are diagonals, kept 1-D
         import noirsim.mpc as mpc
         import noirsim.qp as qp
 
@@ -377,8 +388,8 @@ class TestControlStep:
         assert diag.fallback_used
         assert len(built) == 2
         assert built[1].hessian_factor is built[0].hessian_factor
-        assert factored == [(2, 2)]
-        assert lps and in_lps == [(3, 3)] * len(lps)
+        assert factored == [(2,)]
+        assert lps and in_lps == [(3,)] * len(lps)
 
     @pytest.mark.parametrize("lower_bound", [False, True])
     def test_totally_infeasible_reports_zero_flow(self, monkeypatch, lower_bound):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noirsim.qp import (
     KktResiduals,
@@ -155,7 +159,8 @@ class TestSolve:
             pytest.param("ineq_matrix", True, id="ineq_matrix-with_blocks"),
         ],
     )
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    # -inf too: the check reads a block's minimum and maximum separately
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_matrix_rejected(self, block, new, bad):
         data = {
             "hessian": np.eye(2),
@@ -191,6 +196,10 @@ class TestSolve:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             QpProblem(np.eye(2), np.zeros(3))
+        # a 1-D hessian is a diagonal, one entry per variable
+        for diagonal in (np.ones(2), np.ones(4)):
+            with pytest.raises(ValueError, match=r"hessian has shape .*, not \(3,\)"):
+                QpProblem(diagonal, np.zeros(3))
         # with_blocks refuses row counts that do not match their right-hand
         # side, and columns that do not match the variables
         for blocks in (
@@ -207,14 +216,109 @@ class TestSolve:
         # entry on it is refused as a dense hessian that is not definite is
         with pytest.raises(ValueError, match="positive definite") as dense:
             QpProblem(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
+        # as a 2-D matrix or as the 1-D diagonal itself
         for diagonal in ([1.0, -1.0], [1.0, 0.0], [-0.0, 2.0], [-3.0, -1.0]):
-            with pytest.raises(ValueError) as diag:
-                QpProblem(np.diag(diagonal), np.zeros(2))
-            assert str(diag.value) == str(dense.value)
+            for hessian in (np.diag(diagonal), np.array(diagonal)):
+                with pytest.raises(ValueError) as diag:
+                    QpProblem(hessian, np.zeros(2))
+                assert str(diag.value) == str(dense.value)
 
     def test_asymmetric_hessian_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             QpProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["any", "phase one", "infeasible"]))
+    def test_one_dimensional_hessian_solves_as_its_diagonal(self, seed, kind):
+        # a 1-D hessian d, the 2-D np.diag(d), and np.diag(d) with the dense
+        # diagonal factors np.diag(sqrt(d)) and np.diag(1 / sqrt(d)) put back
+        # give the same solve, bit for bit. "phase one" programs have a row
+        # that cuts off the least-norm start but not a feasible witness, so
+        # their solves run phase one; "infeasible" ones hold two rows
+        # r u <= -1 and -r u <= -1
+        import noirsim.qp as qp
+
+        calls, linprog = [], qp.linprog
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(True)
+            return linprog(*args, **kwargs)
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        m_eq, m_ineq = int(rng.integers(0, min(2, n - 1) + 1)), int(rng.integers(0, 7))
+        d = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        c = rng.standard_normal(n)
+        e = rng.standard_normal((m_eq, n))
+        witness = rng.uniform(-1.0, 1.0, n)
+        g = rng.standard_normal((m_ineq, n))
+        h = g @ witness + rng.uniform(0.0, 1.0, m_ineq)
+        if kind == "phase one":
+            bare = QpProblem(d, c, e, e @ witness)
+            ws = _WorkingSet(bare.hessian_factor_inv, *bare.eq_factor)
+            cut = ws.step(np.zeros(n), bare.eq_rhs)[0] - witness
+            g, h = np.vstack([cut, g]), np.append(cut @ (witness + 0.5 * cut), h)
+        elif kind == "infeasible":
+            r = rng.standard_normal(n)
+            g, h = np.vstack([g, r, -r]), np.append(h, [-1.0, -1.0])
+        problems = [QpProblem(hessian, c, e, e @ witness, g, h) for hessian in (d, np.diag(d))]
+        dense = QpProblem(np.diag(d), c, e, e @ witness, g, h)
+        for name, kept in zip(("hessian_factor", "hessian_factor_inv"), _factor_hessian(d)):
+            object.__setattr__(dense, name, np.diag(kept))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qp, "linprog", counting_linprog)
+            solutions = [solve_qp(problem) for problem in [*problems, dense]]
+        if kind != "any":
+            assert calls
+        assert (solutions[0].status is SolveStatus.INFEASIBLE) == (kind == "infeasible")
+        first = solutions[0]
+        for other in solutions[1:]:
+            assert other.status is first.status
+            assert other.n_iterations == first.n_iterations
+            assert other.active_set == first.active_set
+            assert other.infeasible_ineq_rows == first.infeasible_ineq_rows
+            assert other.cost == first.cost and other.kkt == first.kkt
+            for name in ("u_star", "eq_duals", "ineq_duals"):
+                ours, theirs = getattr(first, name), getattr(other, name)
+                assert (ours is None) == (theirs is None)
+                assert ours is None or ours.tobytes() == theirs.tobytes()
+
+    def test_phase_one_holds_one_copy_of_its_rows(self, monkeypatch):
+        # a program of 150 variables and 300 rows whose hint and least-norm
+        # start both break a row, so the solve runs phase one; phase one's
+        # rows [[G, -1], [0, -1]] are written once, its hessian and factors
+        # are vectors, and its working set stays small, so the call peaks at
+        # well under 1.5 times the bytes of those rows
+        import noirsim.qp as qp
+
+        peaks, linprog = [], qp.linprog
+
+        def measured_linprog(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                return linprog(*args, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(qp, "linprog", measured_linprog)
+        rng = np.random.default_rng(41)
+        n, m = 150, 300
+        g = rng.standard_normal((m, n))
+        # a feasible point near the least-norm start, the all-ones vector
+        witness = 1.0 + 0.02 * rng.standard_normal(n)
+        witness *= n / witness.sum()
+        h = g @ witness + rng.uniform(0.3, 1.0, m)
+        problem = QpProblem(np.eye(n), rng.standard_normal(n), np.ones((1, n)), [float(n)], g, h)
+        hint = np.full(n, 1.0)
+        hint[0] += 1.0
+        hint[1] -= 1.0
+        assert not qp._is_feasible(problem, hint)
+        assert not qp._is_feasible(problem, np.ones(n))
+        sol = solve_qp(problem, initial_point=hint)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert len(peaks) == 1
+        assert peaks[0] <= 1.5 * (m + 1) * (n + 1) * 8
 
     def test_phase_one_matches_highs(self, monkeypatch):
         # Phase one's verdict and least worst violation against HiGHS on the
@@ -352,17 +456,21 @@ class TestRangeSpaceStep:
             assert np.abs(sol.u_star - expected).max() <= 1e-9 * np.abs(expected).max()
 
     def test_diagonal_hessian_takes_its_square_root(self):
-        # the same bits as numpy's Cholesky factor of the same diagonal, and
-        # the identity, the controller's and phase one's hessian, exactly
+        # a diagonal, 2-D or 1-D, is factored as vectors: the same bits as
+        # the diagonals of numpy's Cholesky factor and of its inverse, and
+        # for the identity, the controller's and phase one's hessian, ones
         rng = np.random.default_rng(5)
         for n in (1, 2, 7, 40):
-            hessian = np.diag(rng.uniform(1e-3, 1e3, n))
-            factor, factor_inv = _factor_hessian(hessian)
-            assert np.array_equal(factor, np.linalg.cholesky(hessian))
-            assert np.array_equal(factor_inv, np.linalg.inv(factor))
-            identity = np.eye(n)
-            for kept in _factor_hessian(identity):
-                assert np.array_equal(kept, identity)
+            d = rng.uniform(1e-3, 1e3, n)
+            dense = np.linalg.cholesky(np.diag(d))
+            for hessian in (np.diag(d), d):
+                factor, factor_inv = _factor_hessian(hessian)
+                assert factor.shape == factor_inv.shape == (n,)
+                assert factor.tobytes() == dense.diagonal().tobytes()
+                assert factor_inv.tobytes() == np.linalg.inv(dense).diagonal().tobytes()
+            for identity in (np.eye(n), np.ones(n)):
+                for kept in _factor_hessian(identity):
+                    assert kept.tobytes() == np.ones(n).tobytes()
 
     def test_matches_the_bordered_solve(self):
         rng = np.random.default_rng(14)

@@ -8,36 +8,37 @@ A[k] has one entry per interior-to-interior edge plus the diagonal, a small
 share of the n x n matrix on a street network, so the turn fractions and
 A[k] are ``PatternMatrix`` values on that one ``graph.Pattern``, which the
 graph derives once: the fractions store 0 on the diagonal, and A[k] shares
-their pattern. A product reads the pattern row by row through its row
-slots, a fixed-width layout (ELLPACK; Bell & Garland, "Implementing sparse
-matrix-vector multiplication on throughput-oriented processors", SC 2009),
-in numpy alone; no step builds a dense n x n array. B stays dense: it has
-one column per boundary road.
+their pattern. Their values sit in the pattern's row slots, a fixed-width
+layout (ELLPACK; Bell & Garland, "Implementing sparse matrix-vector
+multiplication on throughput-oriented processors", SC 2009): the sampler
+and the assembly write the slots and a product reads them row by row, in
+numpy alone; no step builds a dense n x n array. B stays dense: it has one
+column per boundary road.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NoirGraph, Pattern, csc_pattern
+from .graph import NoirGraph, Pattern, slot_pattern
 
 
 @dataclass(frozen=True, eq=False)
 class PatternMatrix:
-    """A read-only sparse matrix: CSC ``data`` on a ``graph.Pattern``.
+    """A read-only sparse matrix: one value per row slot of a ``graph.Pattern``.
 
-    ``indices``, ``indptr`` and ``shape`` are the pattern's. ``@`` takes a
-    vector or an ``(n_cols, k)`` array and reads each row through the
-    pattern's row slots: one gather of the operand's rows, then
-    ``np.einsum``, which sums the slots' products in slot order into a
-    zeroed output. So each row starts from +0.0 and adds its products in
-    ascending column order, as scipy's ``csc_matvec`` and ``csc_matvecs``
-    do, and a product equals theirs bit for bit. A padded slot's value and
-    gathered operand row are set to 0, so it adds exactly +0.0 whatever the
-    operand holds. ``data`` is made read-only.
+    ``data`` is flat, ``width * n_rows`` values indexed as the pattern's
+    flat slot indices, with 0 in every padded slot. ``shape`` is the
+    pattern's. ``@`` takes a vector or an ``(n_cols, k)`` array: one gather
+    of the operand's rows through the slots' columns, then ``np.einsum``,
+    which sums the slots' products in slot order into a zeroed output. So
+    each row starts from +0.0 and adds its products in ascending column
+    order, as scipy's ``csc_matvec`` and ``csc_matvecs`` do, and a product
+    equals theirs bit for bit. A padded slot's gathered operand row is set
+    to 0 as well, so it adds exactly +0.0 whatever the operand holds.
+    ``data`` is made read-only.
     """
 
     data: np.ndarray
@@ -50,14 +51,6 @@ class PatternMatrix:
     def shape(self) -> tuple[int, int]:
         return self.pattern.shape
 
-    @property
-    def indices(self) -> np.ndarray:
-        return self.pattern.indices
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.pattern.indptr
-
     @classmethod
     def from_dense(cls, a: np.ndarray, diagonal: bool = False) -> PatternMatrix:
         """``a`` on the pattern of its nonzero entries (a NaN counts as one),
@@ -68,12 +61,11 @@ class PatternMatrix:
         stored = a != 0.0
         if diagonal:
             stored |= np.eye(*a.shape, dtype=bool)
-        cols, rows = np.nonzero(stored.T)
-        return cls(a[rows, cols], csc_pattern(rows, cols, a.shape))
-
-    @functools.cached_property
-    def _slot_data(self) -> np.ndarray:
-        return np.append(self.data, 0.0)[self.pattern.slot_pos]
+        rows, cols = np.nonzero(stored)
+        pattern, where = slot_pattern(rows, cols, a.shape)
+        data = np.zeros(pattern.slot_col.size)
+        data[where] = a[rows, cols]
+        return cls(data, pattern)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -82,11 +74,15 @@ class PatternMatrix:
             raise ValueError(f"operand shape {x.shape} does not match matrix shape {self.shape}")
         terms = x.take(pattern.slot_col, axis=0)
         terms.reshape(-1, *x.shape[1:])[pattern.padding] = 0.0
-        return np.einsum("sn,sn...->n...", self._slot_data, terms)
+        data = self.data.reshape(pattern.slot_col.shape)
+        return np.einsum("sn,sn...->n...", data, terms)
 
     def toarray(self) -> np.ndarray:
+        """The dense matrix; padded slots, which name column 0, write nothing."""
+        pattern = self.pattern
+        stored = np.delete(np.arange(self.data.size), pattern.padding)
         dense = np.zeros(self.shape)
-        dense[self.pattern.indices, self.pattern.columns] = self.data
+        dense[stored % self.shape[0], pattern.slot_col.reshape(-1)[stored]] = self.data[stored]
         return dense
 
 
@@ -123,11 +119,11 @@ def sample_matrices(
     the share its road sends to outlets. ``q`` is a ``PatternMatrix`` on the
     state matrix's pattern: one stored entry per interior-to-interior edge
     and an explicit 0 on each diagonal entry (the graph has no self-loops),
-    column by column with sorted rows. Given the same generator state the
-    result is bit-identical. Where each draw goes, and ``q``'s pattern, are
-    the graph's ``turn_plan``, derived on its first draw and kept; a step
-    draws the numbers and sums them, and ``q`` shares the plan's read-only
-    pattern.
+    row by row in ascending column order. Given the same generator state
+    the result is bit-identical. Where each draw goes, and ``q``'s pattern,
+    are the graph's ``turn_plan``, derived on its first draw and kept; a
+    step draws the numbers, sums them and writes them into their slots, and
+    ``q`` shares the plan's read-only pattern.
     """
     if not 0.0 < p_max < 1.0:
         raise ValueError(f"p_max must lie strictly between 0 and 1, got {p_max}")
@@ -150,7 +146,8 @@ def sample_matrices(
     gammas = rng.standard_gamma(1.0, size=plan.n_inlet_draws + plan.owner.size)
     gammas = gammas[plan.n_inlet_draws :]
     total = np.bincount(plan.owner, weights=gammas)
-    data = np.ones(plan.pattern.indices.size)
+    data = np.ones(plan.pattern.slot_col.size)
+    data[plan.pattern.padding] = 0.0
     data[plan.pattern.diagonal] = 0.0
     data[plan.put] = (gammas * (1.0 / total[plan.owner]))[plan.pick]
     return p, PatternMatrix(data, plan.pattern)
@@ -165,22 +162,27 @@ def assemble_state_matrix(p: np.ndarray, q: np.ndarray | PatternMatrix) -> Patte
     in [0, 1], and each equals the same entry of the dense
     ``q * p + diag(1 - p)`` bit for bit.
 
-    ``q`` is the sampler's ``PatternMatrix``, or any ``PatternMatrix`` that
-    stores every diagonal entry, or a dense array, which is first put on the
-    pattern of its nonzero entries plus the diagonal. The result shares
-    ``q``'s pattern.
+    ``p`` is a vector with one entry per road. ``q`` is the sampler's
+    ``PatternMatrix``, or any ``PatternMatrix`` that stores every diagonal
+    entry, or a dense array, which is first put on the pattern of its
+    nonzero entries plus the diagonal. The result shares ``q``'s pattern:
+    each slot's value is multiplied by ``p`` at its column, and ``1 - p``
+    is added at the diagonal slots. Shapes that do not match raise
+    ``ValueError``.
     """
     p = np.asarray(p, dtype=float)
+    shape = q.shape if isinstance(q, PatternMatrix) else np.shape(q)
+    if p.ndim != 1 or shape != (p.size, p.size):
+        raise ValueError(f"outflow shape {p.shape} does not match fraction matrix shape {shape}")
     n = p.size
     if not isinstance(q, PatternMatrix):
         q = PatternMatrix.from_dense(q, diagonal=True)
     pattern = q.pattern
-    if pattern.shape != (n, n):
-        raise ValueError(f"fraction matrix shape {pattern.shape} does not match {n} roads")
     if pattern.diagonal.size != n:
-        missing = np.setdiff1d(np.arange(n), pattern.columns[pattern.diagonal])[0]
+        missing = np.setdiff1d(np.arange(n), pattern.diagonal % n)[0]
         raise ValueError(f"fraction matrix stores no diagonal entry for road {missing}")
-    data = q.data * p[pattern.columns]
+    data = q.data * p[pattern.slot_col.reshape(-1)]
+    data[pattern.padding] = 0.0  # a padded slot names column 0, whatever p[0] holds
     data[pattern.diagonal] += 1.0 - p
     return PatternMatrix(data, pattern)
 

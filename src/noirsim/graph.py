@@ -49,57 +49,50 @@ class RoadAttributes:
 
 
 class Pattern(NamedTuple):
-    """A sparsity pattern in CSC order and the index arrays derived from it
-    once (``csc_pattern``); every array is read-only.
+    """A sparsity pattern in row slots, derived once (``slot_pattern``);
+    every array is read-only.
 
-    Entry e lies in row ``indices[e]`` and column ``columns[e]``. Entries run
-    column by column, column j's at ``indptr[j]:indptr[j + 1]``, with sorted,
-    distinct rows, and ``diagonal`` lists the stored diagonal entries in
-    order. The row slots hold each row's entries in ascending column order,
-    padded to the widest row (ELLPACK): slot s of row i is entry
-    ``slot_pos[s, i]`` in column ``slot_col[s, i]``, both ``(width,
-    n_rows)``. A padded slot has position ``indices.size``, one past the
-    last entry, and column 0, and ``padding`` lists the padded slots as
-    flat indices into ``(width, n_rows)``.
+    Each row holds its entries in ascending column order, padded to the
+    widest row (ELLPACK; Bell & Garland, "Implementing sparse matrix-vector
+    multiplication on throughput-oriented processors", SC 2009): slot s of
+    row i has flat index ``s * n_rows + i`` in the ``(width, n_rows)``
+    array ``slot_col``, which holds its column. A padded slot has column 0,
+    and ``padding`` lists the padded slots' flat indices. ``diagonal`` lists
+    the flat indices of the stored diagonal entries, row by row.
     """
 
     shape: tuple[int, int]
-    indices: np.ndarray
-    indptr: np.ndarray
-    columns: np.ndarray
-    diagonal: np.ndarray
-    slot_pos: np.ndarray
     slot_col: np.ndarray
     padding: np.ndarray
+    diagonal: np.ndarray
 
 
-def csc_pattern(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> Pattern:
-    """The pattern of the entries ``(rows[e], cols[e])``, which come sorted
-    by column and then by row, with none repeated."""
+def slot_pattern(
+    rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
+) -> tuple[Pattern, np.ndarray]:
+    """The pattern of the entries ``(rows[e], cols[e])``, none repeated, and
+    ``where``: ``where[e]`` is entry e's flat slot index."""
     n_rows, n_cols = shape
-    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
     order = np.lexsort((cols, rows))  # row by row, columns ascending
     counts = np.bincount(rows, minlength=n_rows)
-    by_row = rows[order]
+    by_row, by_col = rows[order], cols[order]
     rank = np.arange(order.size) - (np.cumsum(counts) - counts)[by_row]
     width = max(int(counts.max(initial=0)), 1)
-    slot_pos = np.full((width, n_rows), rows.size)
+    slots = rank * n_rows + by_row
+    where = np.empty_like(slots)
+    where[order] = slots
     slot_col = np.zeros((width, n_rows), dtype=np.intp)
-    slot_pos[rank, by_row] = order
-    slot_col[rank, by_row] = cols[order]
+    slot_col.reshape(-1)[slots] = by_col
     pattern = Pattern(
         shape=(n_rows, n_cols),
-        indices=rows,
-        indptr=np.searchsorted(cols, np.arange(n_cols + 1)),
-        columns=cols,
-        diagonal=np.flatnonzero(rows == cols),
-        slot_pos=slot_pos,
         slot_col=slot_col,
         padding=np.flatnonzero(np.arange(width)[:, None] >= counts),
+        diagonal=slots[by_row == by_col],
     )
     for arr in pattern[1:]:
         arr.flags.writeable = False
-    return pattern
+    return pattern, where
 
 
 class TurnPlan(NamedTuple):
@@ -110,9 +103,9 @@ class TurnPlan(NamedTuple):
     drawn in (tail, head) order, so the ``n_inlet_draws`` inlet variates
     come first. Interior variate k belongs to the ``owner[k]``-th splitting
     interior node. ``pattern`` is the state matrix's pattern, the
-    interior-to-interior edges plus the diagonal in state order, with its
-    row slots; the turn fractions are stored on it, its entries ``put``
-    from interior variates ``pick``, its diagonal entries 0 and the rest 1.
+    interior-to-interior edges plus the diagonal in state order; the turn
+    fractions are stored in its row slots, slots ``put`` from interior
+    variates ``pick``, its diagonal and padded slots 0 and the rest 1.
     """
 
     n_inlet_draws: int
@@ -197,12 +190,13 @@ class NoirGraph:
         col, row = tails[inner] - nb - 1, heads[inner] - nb - 1
         key = col * n + row
         keys = np.sort(np.concatenate([key, np.arange(n) * (n + 1)]))
+        pattern, where = slot_pattern(keys % n, keys // n, (n, n))
         plan = TurnPlan(
             n_inlet_draws=int(np.count_nonzero(split & (tails <= self.n_inlets))),
             owner=np.unique(tails[drawn], return_inverse=True)[1],
             pick=np.flatnonzero(inner[drawn]),
-            put=np.searchsorted(keys, key)[split[inner]],
-            pattern=csc_pattern(keys % n, keys // n, (n, n)),
+            put=where[np.searchsorted(keys, key)[split[inner]]],
+            pattern=pattern,
         )
         for arr in plan:
             if isinstance(arr, np.ndarray):

@@ -11,9 +11,9 @@ with H symmetric positive definite, using a primal active-set method. A
 Iterates stay primal feasible, so capacity-style constraints hold at every
 intermediate point. Each iteration takes a range-space step: with the
 Cholesky factor ``H = L L'`` and its inverse, which ``QpProblem`` keeps from
-its positive-definiteness check (a diagonal ``H``, 1-D or 2-D, is factored
-as its square root, and both factors are kept as vectors that multiply
-elementwise), ``W = L⁻¹C'`` for the ``m`` rows ``C`` held as equalities and the
+its positive-definiteness check (a 1-D ``H`` is factored as its square
+root, and both factors are kept as vectors that multiply elementwise),
+``W = L⁻¹C'`` for the ``m`` rows ``C`` held as equalities and the
 inverse of the Cholesky factor of the ``m × m`` Schur complement ``W'W``, a
 step is a few mat-vecs, O(n² + n·m), and a row that enters borders that
 inverse by one row. ``numpy.linalg`` factors and inverts, so the solver
@@ -113,7 +113,7 @@ class QpProblem:
     norm in the metric of ``H⁻¹``, as ``[[1, 0], [1, 1e-6]]``) raise ``ValueError``.
     The checks leave the factors that every solve starts from: the hessian's
     lower Cholesky factor ``L`` and ``L⁻¹`` (``_factor_hessian``; vectors
-    when the hessian is diagonal), and the equality rows' range-space factor.
+    when the hessian is 1-D), and the equality rows' range-space factor.
     """
 
     hessian: np.ndarray
@@ -124,7 +124,7 @@ class QpProblem:
     ineq_rhs: np.ndarray | None = None
     # Kept from the checks for the range-space step: the hessian's lower Cholesky
     # factor L, H = L L', its inverse L⁻¹ (both 1-D, the diagonal, when H is
-    # diagonal), and the equality rows' read-only wt
+    # 1-D), and the equality rows' read-only wt
     # and schur_inv (_WorkingSet).
     hessian_factor: np.ndarray = field(init=False, repr=False, compare=False)
     hessian_factor_inv: np.ndarray = field(init=False, repr=False, compare=False)
@@ -267,16 +267,15 @@ def _is_feasible(problem: QpProblem, u: np.ndarray) -> bool:
 
 def _factor_hessian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lower Cholesky factor ``L`` of ``h`` and its inverse ``L⁻¹``, or
-    ``ValueError`` when ``h`` is not positive definite. A diagonal ``h``,
-    1-D or a 2-D matrix whose nonzeros all lie on its diagonal, is factored
-    as its square root in O(n), and both factors are returned as vectors,
-    the diagonals of ``L`` and ``L⁻¹`` (``_times`` multiplies by them): the
-    controller's cost ``0.5 * ||U||^2`` and phase one's ``0.5 * ||z - z_k||^2``
-    both have one."""
-    d = h if h.ndim == 1 else h.diagonal()
-    if h.ndim == 1 or np.count_nonzero(h) == np.count_nonzero(d):
-        if (d > 0).all():
-            root = np.sqrt(d)
+    ``ValueError`` when ``h`` is not positive definite. A 1-D ``h`` holds
+    the diagonal of a diagonal hessian; it is factored as its square root
+    in O(n), and both factors are returned as vectors, the diagonals of
+    ``L`` and ``L⁻¹`` (``_times`` multiplies by them): the controller's cost
+    ``0.5 * ||U||^2`` and phase one's ``0.5 * ||z - z_k||^2`` are passed so.
+    A 2-D ``h`` takes the Cholesky path, diagonal or not."""
+    if h.ndim == 1:
+        if (h > 0).all():
+            root = np.sqrt(h)
             return root, 1.0 / root
     else:
         try:

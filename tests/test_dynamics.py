@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -12,7 +14,7 @@ from noirsim.dynamics import (
     sample_matrices,
     step,
 )
-from noirsim.graph import RoadClass, build_graph, validate_structure
+from noirsim.graph import RoadClass, build_graph, slot_pattern, validate_structure
 from noirsim.harness import GRID_PRESET, generate_grid_noir, philadelphia_noir
 
 from helpers import (
@@ -35,6 +37,15 @@ def hand_pq():
     p = np.array([0.5, 0.5])
     q = np.array([[0.0, 1.0], [0.0, 0.0]])
     return p, q
+
+
+def stored_slots(m: PatternMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value of each of ``m``'s stored slots, row by row in
+    slot order; padded slots are left out."""
+    pattern = m.pattern
+    flat = np.arange(m.data.size).reshape(pattern.slot_col.shape).T.reshape(-1)
+    flat = flat[~np.isin(flat, pattern.padding)]
+    return flat % m.shape[0], pattern.slot_col.reshape(-1)[flat], m.data[flat]
 
 
 def hub_graph(flip: bool = False):
@@ -156,12 +167,13 @@ class TestSampling:
                 p, _, matrix = reference_sample_matrices(ref_rng, g, state)
                 assert probs.tobytes() == p.tobytes()
                 assert fractions.toarray().tobytes() == matrix.tobytes()
+                assert not fractions.data[fractions.pattern.padding].any()
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
         for g in (graph, partner):
             assert g.turn_plan is g.turn_plan
             plan = g.turn_plan
             arrays = [arr for arr in (*plan, *plan.pattern) if isinstance(arr, np.ndarray)]
-            assert len(arrays) == 10 and not any(arr.flags.writeable for arr in arrays)
+            assert len(arrays) == 6 and not any(arr.flags.writeable for arr in arrays)
 
     def test_p_max_domain(self):
         g = tiny_graph()
@@ -223,7 +235,8 @@ class TestStateMatrix:
     def test_any_fraction_matrix_gives_the_dense_model(self, case):
         # dense inputs, which store no diagonal entry where q is 0 there:
         # the result still equals the dense model bit for bit, on q's
-        # nonzero pattern plus the diagonal, with rows sorted in each column
+        # nonzero pattern plus the diagonal, each row's slots holding
+        # ascending columns
         rng = np.random.default_rng(4)
         n = 5
         p = rng.uniform(0.0, 0.9, n)
@@ -240,9 +253,9 @@ class TestStateMatrix:
         a = assemble_state_matrix(p, q)
         assert a.toarray().tobytes() == (q * p + np.diag(1.0 - p)).tobytes()
         pattern = set(zip(*map(np.ndarray.tolist, np.nonzero(q)))) | {(i, i) for i in range(n)}
-        cols = np.repeat(np.arange(n), np.diff(a.indptr))
-        assert (np.diff(cols * n + a.indices) > 0).all() and a.data.size == len(pattern)
-        assert set(zip(a.indices.tolist(), cols.tolist())) == pattern
+        rows, cols, _ = stored_slots(a)
+        assert (np.diff(rows * n + cols) > 0).all() and rows.size == len(pattern)
+        assert set(zip(rows.tolist(), cols.tolist())) == pattern
 
     def test_fractions_without_a_diagonal_entry_are_refused(self):
         # a PatternMatrix q must store every diagonal entry, as the
@@ -250,6 +263,25 @@ class TestStateMatrix:
         q = PatternMatrix.from_dense(np.array([[0.5, 0.0], [0.5, 0.0]]))
         with pytest.raises(ValueError, match="no diagonal entry for road 1"):
             assemble_state_matrix(np.full(2, 0.5), q)
+
+    def test_padded_slots_stay_zero_whatever_p_holds(self):
+        # road 1's row stores its diagonal and one padded slot, which names
+        # column 0; a NaN p[0] poisons road 0's row only
+        p, q = hand_pq()
+        p[0] = np.nan
+        a = assemble_state_matrix(p, PatternMatrix.from_dense(q, diagonal=True))
+        assert not a.data[a.pattern.padding].any()
+        assert (a @ np.ones(2))[1] == 0.5
+
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2)], ids=["column", "row"])
+    def test_outflow_probabilities_that_are_not_a_vector_are_refused(self, shape):
+        # a column would broadcast q's values into an nnz x nnz array, and
+        # a row is too short to index by column; both are refused by their
+        # shape, for a dense q and for one on a pattern
+        p, q = hand_pq()
+        for fractions in (q, PatternMatrix.from_dense(q, diagonal=True)):
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+                assemble_state_matrix(p.reshape(shape), fractions)
 
 
 class TestInputMatrix:
@@ -355,8 +387,29 @@ class TestStep:
 
 
 class TestSparseStateMatrix:
-    """The sampler and the assembly carry A[k] as a CSC array; it must equal
-    the dense model that the per-node reference sampler gives."""
+    """The sampler and the assembly carry A[k] in the row slots of the
+    graph's pattern; it must equal the dense model that the per-node
+    reference sampler gives."""
+
+    def test_hand_built_slot_pattern(self):
+        # row 0 stores only column 0 and then a padded slot, which also
+        # names column 0; row 1 stores nothing; the entries come unsorted
+        pattern, where = slot_pattern([2, 0, 2], [2, 0, 1], (3, 3))
+        assert pattern.shape == (3, 3)
+        assert pattern.slot_col.tolist() == [[0, 0, 1], [0, 0, 2]]
+        assert where.tolist() == [5, 0, 2]
+        assert pattern.diagonal.tolist() == [0, 5]
+        assert pattern.padding.tolist() == [1, 3, 4]
+        data = np.zeros(6)
+        data[where] = [7.0, 5.0, 6.0]
+        a = PatternMatrix(data, pattern)
+        dense = np.array([[5.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 6.0, 7.0]])
+        assert a.toarray().tobytes() == dense.tobytes()
+        assert (a @ np.array([1.0, 2.0, 4.0])).tolist() == [5.0, 0.0, 40.0]
+        assert (a @ np.array([np.inf, 2.0, 4.0])).tolist() == [np.inf, 0.0, 40.0]
+        same = PatternMatrix.from_dense(dense)
+        assert same.data.tobytes() == data.tobytes()
+        assert same.pattern.slot_col.tobytes() == pattern.slot_col.tobytes()
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -373,10 +426,11 @@ class TestSparseStateMatrix:
         assert a.toarray().tobytes() == (q_ref * p + np.diag(1.0 - p)).tobytes()
         # q is on A[k]'s pattern already: it stores its n diagonal entries, as 0
         n = g.n_interior
-        assert np.array_equal(a.indices, fractions.indices)
-        assert np.array_equal(a.indptr, fractions.indptr)
-        on_diagonal = fractions.indices == np.repeat(np.arange(n), np.diff(fractions.indptr))
-        assert np.count_nonzero(on_diagonal) == n and not fractions.data[on_diagonal].any()
+        assert a.pattern is fractions.pattern
+        diagonal = fractions.pattern.diagonal
+        assert np.array_equal(diagonal % n, np.arange(n))
+        assert np.array_equal(fractions.pattern.slot_col.reshape(-1)[diagonal], np.arange(n))
+        assert not fractions.data[diagonal].any()
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1), preset=st.booleans())
@@ -396,8 +450,9 @@ class TestSparseStateMatrix:
         densities[rng.random(n) < 0.3] = 0.0
         densities[:2] = 0.0, -1.0
         a = assemble_state_matrix(*sample_matrices(rng, g, TrafficState(densities)))
-        oracle = scipy.sparse.csc_array((a.data, a.indices, a.indptr), shape=a.shape)
-        assert not a.data.all()
+        rows, cols, values = stored_slots(a)
+        oracle = scipy.sparse.csc_array((values, (rows, cols)), shape=a.shape)
+        assert oracle.nnz == values.size and not values.all()
         assert not preset or a.pattern.padding.size
         minus_b = -assemble_input_matrix(g)
         spiked = rng.uniform(-1.0, 1.0, (n, 3))

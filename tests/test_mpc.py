@@ -690,8 +690,9 @@ class TestOutletsOnlyStart:
 
 
 class TestSparseStateMatrix:
-    """``control_step`` takes the sampled CSC state matrix as it is and
-    converts a dense one to CSC, so a dense copy gives the same answer."""
+    """``control_step`` takes the sampled state matrix as it is and puts a
+    dense one on the pattern of its nonzero entries, so a dense copy gives
+    the same answer."""
 
     @pytest.mark.parametrize(
         "d0, top, builds",

@@ -456,21 +456,26 @@ class TestRangeSpaceStep:
             assert np.abs(sol.u_star - expected).max() <= 1e-9 * np.abs(expected).max()
 
     def test_diagonal_hessian_takes_its_square_root(self):
-        # a diagonal, 2-D or 1-D, is factored as vectors: the same bits as
-        # the diagonals of numpy's Cholesky factor and of its inverse, and
-        # for the identity, the controller's and phase one's hessian, ones
+        # a 1-D diagonal is factored as vectors, the same bits as the
+        # diagonals of numpy's Cholesky factor and of its inverse; a 2-D
+        # diagonal takes the Cholesky path, whose factors are diag(sqrt(d))
+        # and diag(1 / sqrt(d)) bit for bit. For the identity, the
+        # controller's and phase one's hessian, the vectors are ones
         rng = np.random.default_rng(5)
         for n in (1, 2, 7, 40):
             d = rng.uniform(1e-3, 1e3, n)
             dense = np.linalg.cholesky(np.diag(d))
-            for hessian in (np.diag(d), d):
-                factor, factor_inv = _factor_hessian(hessian)
-                assert factor.shape == factor_inv.shape == (n,)
-                assert factor.tobytes() == dense.diagonal().tobytes()
-                assert factor_inv.tobytes() == np.linalg.inv(dense).diagonal().tobytes()
-            for identity in (np.eye(n), np.ones(n)):
-                for kept in _factor_hessian(identity):
-                    assert kept.tobytes() == np.ones(n).tobytes()
+            factor, factor_inv = _factor_hessian(d)
+            assert factor.shape == factor_inv.shape == (n,)
+            assert factor.tobytes() == dense.diagonal().tobytes()
+            assert factor_inv.tobytes() == np.linalg.inv(dense).diagonal().tobytes()
+            factor, factor_inv = _factor_hessian(np.diag(d))
+            assert factor.tobytes() == np.diag(np.sqrt(d)).tobytes()
+            assert factor_inv.tobytes() == np.diag(1.0 / np.sqrt(d)).tobytes()
+            for kept in _factor_hessian(np.ones(n)):
+                assert kept.tobytes() == np.ones(n).tobytes()
+            for kept in _factor_hessian(np.eye(n)):
+                assert kept.tobytes() == np.eye(n).tobytes()
 
     def test_matches_the_bordered_solve(self):
         rng = np.random.default_rng(14)

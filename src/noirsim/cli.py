@@ -12,14 +12,13 @@ from pathlib import Path
 
 from . import __version__
 from .formats import (
-    FormatError,
     document_from_graph,
     graph_from_document,
     parse_network,
     parse_sim_config,
     serialize_network,
 )
-from .graph import GraphBuildError, validate_structure
+from .graph import validate_structure
 from .harness import (
     GRID_PRESET,
     PHILADELPHIA_PRESET,
@@ -82,7 +81,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         graph = _load_graph(args.network)
-    except (FormatError, GraphBuildError) as exc:
+    except ValueError as exc:  # FormatError and GraphBuildError among them
         print(f"invalid network: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     report = validate_structure(graph)
@@ -104,7 +103,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else:
             config = parse_sim_config(Path(args.config).read_bytes())
         log = run_simulation(graph, config)
-    except (FormatError, GraphBuildError) as exc:
+    except ValueError as exc:  # FormatError and GraphBuildError among them
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

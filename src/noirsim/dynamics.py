@@ -121,9 +121,9 @@ def sample_matrices(
     and an explicit 0 on each diagonal entry (the graph has no self-loops),
     row by row in ascending column order. Given the same generator state
     the result is bit-identical. Where each draw goes, and ``q``'s pattern,
-    are the graph's ``turn_plan``, derived on its first draw and kept; a
-    step draws the numbers, sums them and writes them into their slots, and
-    ``q`` shares the plan's read-only pattern.
+    are the graph's ``turn_plan``, built with the graph; a step draws the
+    numbers, sums them and writes them into their slots, and ``q`` shares
+    the plan's read-only pattern.
     """
     if not 0.0 < p_max < 1.0:
         raise ValueError(f"p_max must lie strictly between 0 and 1, got {p_max}")

@@ -8,7 +8,6 @@ then interior elements.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -96,7 +95,8 @@ def slot_pattern(
 
 
 class TurnPlan(NamedTuple):
-    """Where one step's turn-fraction draws go (``NoirGraph.turn_plan``).
+    """Where one step's turn-fraction draws go (``NoirGraph.turn_plan``,
+    built with the graph).
 
     Each inlet and interior node with two or more out-edges splits its
     outflow by one flat Dirichlet draw: a gamma(1) variate per out-edge, all
@@ -124,8 +124,10 @@ class NoirGraph:
     sorted by (tail, head), is the one stored adjacency. The index arrays
     derived from it are read-only, so the graph is safe to share across
     threads: ``edge_tails`` and ``edge_heads`` follow ``edges``; the
-    out-edges of node ``i`` sit at ``out_offsets[i - 1]:out_offsets[i]`` and
-    its in-neighbors, ascending, at ``in_sources[in_offsets[i - 1]:in_offsets[i]]``.
+    out-edges of node ``i`` sit at ``out_offsets[i - 1]:out_offsets[i]``;
+    its in-neighbors, ascending, at ``in_sources[in_offsets[i - 1]:in_offsets[i]]``;
+    and ``turn_plan`` holds where each step's turn fractions are drawn to
+    (``TurnPlan``). All are built with the graph.
     The constructor is the one edge and attribute check: an interior node
     without attributes, or an edge that leaves ``1..n_total``, loops, repeats
     or breaks the order, raises ``GraphBuildError`` naming it.
@@ -141,6 +143,7 @@ class NoirGraph:
     out_offsets: np.ndarray = field(init=False, compare=False, repr=False)
     in_offsets: np.ndarray = field(init=False, compare=False, repr=False)
     in_sources: np.ndarray = field(init=False, compare=False, repr=False)
+    turn_plan: TurnPlan = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.n_total
@@ -176,11 +179,11 @@ class NoirGraph:
             arr = np.ascontiguousarray(arr)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "turn_plan", self._derive_turn_plan())
 
-    @functools.cached_property
-    def turn_plan(self) -> TurnPlan:
+    def _derive_turn_plan(self) -> TurnPlan:
         """The index arrays that ``dynamics.sample_matrices`` draws turn
-        fractions through, derived on first use and kept; they are read-only."""
+        fractions through, read-only."""
         nb, n, tails, heads = self.n_boundary, self.n_interior, self.edge_tails, self.edge_heads
         split = np.diff(self.out_offsets)[tails - 1] >= 2
         drawn = split & (tails > nb)

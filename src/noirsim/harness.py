@@ -244,7 +244,8 @@ def run_simulation(graph: NoirGraph, config: SimConfig) -> TimeSeriesLog:
     solves the boundary-flow program, and advances the plant with the same
     sampled matrices. Identical seeds give identical logs. Infeasible steps
     are recorded (with the relaxed demand actually applied), never raised.
-    A graph that fails structural validation raises ``GraphBuildError``.
+    A graph that fails structural validation raises ``GraphBuildError``, and
+    a config value that the run cannot use raises ``ValueError``.
     """
     report = validate_structure(graph)
     if not report.all_passed:
@@ -253,6 +254,13 @@ def run_simulation(graph: NoirGraph, config: SimConfig) -> TimeSeriesLog:
 
     rng = np.random.default_rng(config.seed)
     x_max = graph.capacity_vector(config.l_veh_m)
+    # before x0 is drawn: MpcConfig refuses capacities that overflow to inf
+    mpc_cfg = MpcConfig(
+        d0=config.d0,
+        x_max=x_max,
+        n_tau=config.n_tau,
+        enforce_density_lower_bound=config.enforce_density_lower_bound,
+    )
     if config.initial_density == "zero":
         x0 = np.zeros(graph.n_interior)
     else:
@@ -261,13 +269,6 @@ def run_simulation(graph: NoirGraph, config: SimConfig) -> TimeSeriesLog:
         # boundary program infeasible for a long transient and the network
         # takes far longer than the run to settle.
         x0 = rng.uniform(0.0, 0.1 * x_max)
-
-    mpc_cfg = MpcConfig(
-        d0=config.d0,
-        x_max=x_max,
-        n_tau=config.n_tau,
-        enforce_density_lower_bound=config.enforce_density_lower_bound,
-    )
     b = assemble_input_matrix(graph)
     state = TrafficState(densities=x0, step=0)
     records: list[StepRecord] = []

@@ -227,15 +227,11 @@ def kkt_residuals(
     if nu.size != a.shape[0] or lam.size != g.shape[0]:
         raise ValueError("dual vector dimensions are inconsistent")
 
-    grad = _times(problem.hessian, u) + problem.linear
-    if a.shape[0]:
-        grad = grad + a.T @ nu
-    if g.shape[0]:
-        grad = grad + g.T @ lam
-    slack = g @ u - h if g.shape[0] else np.zeros(0)
+    grad = _times(problem.hessian, u) + problem.linear + a.T @ nu + g.T @ lam
+    slack = g @ u - h
     return KktResiduals(
         stationarity=float(np.abs(grad).max(initial=0.0)),
-        primal_equality=float(np.abs(a @ u - b).max(initial=0.0)) if a.shape[0] else 0.0,
+        primal_equality=float(np.abs(a @ u - b).max(initial=0.0)),
         primal_inequality=float(np.maximum(slack, 0.0).max(initial=0.0)),
         complementarity=float(np.abs(lam * slack).max(initial=0.0)),
         dual_feasibility=float(np.maximum(-lam, 0.0).max(initial=0.0)),
@@ -260,7 +256,7 @@ def _is_feasible(problem: QpProblem, u: np.ndarray) -> bool:
     if not np.isfinite(u).all():
         return False
     a, b = problem.eq_matrix, problem.eq_rhs
-    if b.size and float(np.abs(a @ u - b).max()) > feasibility_limit(b):
+    if float(np.abs(a @ u - b).max(initial=0.0)) > feasibility_limit(b):
         return False
     return _violated_rows(problem, u).size == 0
 
@@ -322,9 +318,7 @@ class _WorkingSet:
         for ``m`` rows, instead of factoring the bordered matrix
         ``[[H, C'], [C, 0]]``.
         """
-        mu = residual
-        if residual.size:
-            mu = self.schur_inv.T @ (self.schur_inv @ (self.wt @ y - residual))
+        mu = self.schur_inv.T @ (self.schur_inv @ (self.wt @ y - residual))
         p = _times(self.factor_inv.T, y - self.wt.T @ mu)
         return p, mu
 
@@ -428,7 +422,8 @@ def solve_qp(
     """Solve a strictly convex QP with a primal active-set method.
 
     The method starts from the first feasible one of ``initial_point`` (a
-    hint, ignored when infeasible or not finite), the least-norm equality
+    hint, ignored when infeasible or not finite; a hint whose size is not
+    the problem's raises ``ValueError``), the least-norm equality
     point ``H⁻¹E'(E H⁻¹ E')⁻¹b`` (the least-squares point when ``H = I``)
     and the phase-one point (``linprog``); each is computed only when the
     ones before it fail. Phase one starts from the least-norm point and runs
@@ -462,7 +457,9 @@ def solve_qp(
     u = None
     if initial_point is not None:
         cand = np.asarray(initial_point, dtype=float).reshape(-1)
-        if cand.size == n and _is_feasible(problem, cand):
+        if cand.size != n:
+            raise ValueError(f"initial point has {cand.size} entries, expected {n}")
+        if _is_feasible(problem, cand):
             u = cand.copy()
     if u is None:
         u = ws.step(np.zeros(n), b)[0]
@@ -491,7 +488,7 @@ def solve_qp(
 
         if float(np.abs(p).max(initial=0.0)) <= _TOL * step_ref:
             lam_w = mu[m_eq:]
-            if lam_w.size == 0 or float(lam_w.min()) >= -_TOL:
+            if float(lam_w.min(initial=0.0)) >= -_TOL:
                 u = u + p
                 # One refinement solve on the final working set: the KKT
                 # solve's round-off leaves working rows off by up to ~1e-12,
@@ -515,19 +512,18 @@ def solve_qp(
         # cannot block a step that keeps them satisfied, save by round-off,
         # so it is passed over for the next candidate.
         alpha = 1.0
-        if m_ineq:
-            direction = g @ p
-            slack_now = h - g @ u
-            mask = direction > 1e-12
-            mask[ws.rows] = False
-            cand_rows = np.flatnonzero(mask)
-            ratios = np.maximum(slack_now[cand_rows] / direction[cand_rows], 0.0)
-            blocking = ratios < 1.0
-            cand_rows, ratios = cand_rows[blocking], ratios[blocking]
-            for j in np.lexsort((cand_rows, ratios)):
-                if ws.try_add(int(cand_rows[j]), g[cand_rows[j]]):
-                    alpha = float(ratios[j])
-                    break
+        direction = g @ p
+        slack_now = h - g @ u
+        mask = direction > 1e-12
+        mask[ws.rows] = False
+        cand_rows = np.flatnonzero(mask)
+        ratios = np.maximum(slack_now[cand_rows] / direction[cand_rows], 0.0)
+        blocking = ratios < 1.0
+        cand_rows, ratios = cand_rows[blocking], ratios[blocking]
+        for j in np.lexsort((cand_rows, ratios)):
+            if ws.try_add(int(cand_rows[j]), g[cand_rows[j]]):
+                alpha = float(ratios[j])
+                break
         u = u + alpha * p
 
     # The multipliers belong to the working set only when the last KKT solve

@@ -143,6 +143,28 @@ def test_simulate_rejects_bad_config(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+# pytest turns the RuntimeWarnings of capacities that overflow and of a
+# demand whose flows overflow into errors; here the run must end in a verdict
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param('{"l_veh_m": 1e-310, "steps": 2}', id="capacity-overflows"),
+        pytest.param('{"d0": 1e308, "steps": 2}', id="density-not-finite"),
+    ],
+)
+def test_simulate_reports_a_value_the_run_refuses(tmp_path, capsys, config):
+    net = tmp_path / "net.json"
+    cfg = tmp_path / "cfg.json"
+    main(["generate", "--preset", "grid", "--seed", "1", "--out", str(net)])
+    capsys.readouterr()
+    cfg.write_text(config)
+    code = main(["simulate", "--network", str(net), "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and "Traceback" not in err
+
+
 def test_generate_rejects_negative_seed(tmp_path, capsys):
     net = tmp_path / "net.json"
     assert main(["generate", "--preset", "grid", "--seed", "-1", "--out", str(net)]) == EXIT_VALIDATION

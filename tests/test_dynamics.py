@@ -175,6 +175,20 @@ class TestSampling:
             arrays = [arr for arr in (*plan, *plan.pattern) if isinstance(arr, np.ndarray)]
             assert len(arrays) == 6 and not any(arr.flags.writeable for arr in arrays)
 
+    def test_turn_plan_is_built_with_the_graph(self, monkeypatch):
+        # a draw derives nothing: the plan, and the pattern that slot_pattern
+        # gives it, exist once the graph does
+        g = generate_grid_noir(seed=1, **GRID_PRESET)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("slot_pattern called after the graph was built")
+
+        monkeypatch.setattr("noirsim.graph.slot_pattern", refuse)
+        plan = g.turn_plan
+        state = TrafficState(np.ones(g.n_interior))
+        sample_matrices(np.random.default_rng(0), g, state)
+        assert g.turn_plan is plan
+
     def test_p_max_domain(self):
         g = tiny_graph()
         state = TrafficState(np.ones(1))

@@ -97,6 +97,17 @@ class TestSolve:
             assert sol.status is SolveStatus.OPTIMAL
             assert sol.u_star == pytest.approx([30.0, 70.0], abs=1e-8)
 
+    def test_hint_of_the_wrong_size_is_refused(self):
+        # a caller's sizing error, which a solve from the least-norm point
+        # would otherwise hide as a slower solve
+        problem = QpProblem(np.ones(3), np.zeros(3), [[1, 1, 1]], [3], -np.eye(3), np.zeros(3))
+        with pytest.raises(ValueError, match="initial point has 2 entries, expected 3"):
+            solve_qp(problem, initial_point=[3.0, 0.0])
+        # a hint of the right size that breaks a row is still only ignored
+        sol = solve_qp(problem, initial_point=[4.0, 0.0, 0.0])
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.u_star == pytest.approx([1.0, 1.0, 1.0], abs=1e-10)
+
     # new: the block is supplied through with_blocks rather than on construction
     @pytest.mark.parametrize(
         "block, new",
